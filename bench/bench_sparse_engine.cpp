@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -159,9 +160,9 @@ int main(int argc, char** argv) {
   const double densities[] = {0.01, 0.03};
   constexpr int kReps = 3;
   constexpr int kSweepReps = 2;
-  // Forced exit-row geometries for the tile sweep; 0 = tiling disabled
-  // (the pre-tiling execution). Values above a chain's exit extent clamp
-  // and dedup away.
+  // Forced exit-row geometries for the tile sweep; 0 = every chain as a
+  // single tile (untiled). Values above a chain's exit extent clamp and
+  // dedup away.
   const int sweep_rows[] = {0, 8, 16, 32, 64};
 
   std::fprintf(g_table, "sparse engine planner benchmark (threads=%d)\n",
@@ -217,11 +218,8 @@ int main(int argc, char** argv) {
       for (const int rows : sweep_rows) {
         en::ExecutionPlan sweep_plan = plan;
         en::TileOptions topt;
-        if (rows == 0) {
-          topt.enable = false;
-        } else {
-          topt.forced_tile_rows = rows;
-        }
+        topt.forced_tile_rows =
+            rows == 0 ? std::numeric_limits<int>::max() : rows;
         sweep_plan.tiles = en::build_tile_plan(spec, sweep_plan, topt);
         if (!seen.insert(tile_signature(sweep_plan.tiles)).second) continue;
         net.set_execution_plan(&sweep_plan);

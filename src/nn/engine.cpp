@@ -298,66 +298,112 @@ const ExecutionPlan* FunctionalNetwork::set_execution_plan(
       node_route_[i] = plan->route[i];
     }
   }
-  // Compile the tile chains: resolve every layer's per-tile OWNED band
-  // (exit layer: tile_rows bands; interior layers: proportional bands —
-  // any exact partition preserves bitwise parity) and its WINDOW, grown
-  // backward so each layer's window covers the input halo of the next
-  // layer's window. Chains with tiles == 1 still compile (the walker
-  // skips them), keeping the install path uniform.
-  tile_chains_.clear();
-  chain_of_node_.assign(spec_.graph.size(), -1);
-  if (plan != nullptr) {
-    for (const TileChain& tc : plan->tiles.chains) {
-      ChainExec chain;
-      chain.nodes = tc.nodes;
-      chain.tiles = tc.tiles;
-      const std::size_t depth = tc.nodes.size();
-      chain.layers.resize(depth);
-      const int exit_h =
-          spec_.graph.node(tc.nodes.back()).spec.out_shape.h;
-      for (int t = 0; t < tc.tiles; ++t) {
-        // Exit layer: window == owned band.
-        {
-          ChainLayerWindows& lw = chain.layers[depth - 1];
-          const int o0 = t * tc.tile_rows;
-          const int o1 = std::min(exit_h, o0 + tc.tile_rows);
-          lw.own0.push_back(o0);
-          lw.own1.push_back(o1);
-          lw.win0.push_back(o0);
-          lw.win1.push_back(o1);
-        }
-        for (std::size_t j = depth - 1; j-- > 0;) {
-          const LayerSpec& next_ls =
-              spec_.graph.node(tc.nodes[j + 1]).spec;
-          const ChainLayerWindows& next = chain.layers[j + 1];
-          const int h =
-              spec_.graph.node(tc.nodes[j]).spec.out_shape.h;
-          const int o0 = static_cast<int>(
-              static_cast<std::int64_t>(h) * t / tc.tiles);
-          const int o1 = static_cast<int>(
-              static_cast<std::int64_t>(h) * (t + 1) / tc.tiles);
-          const int in0 = std::clamp(
-              next.win0.back() * next_ls.conv.stride - next_ls.conv.padding,
-              0, h);
-          const int in1 = std::clamp(
-              (next.win1.back() - 1) * next_ls.conv.stride -
-                  next_ls.conv.padding + next_ls.conv.kernel,
-              0, h);
-          ChainLayerWindows& lw = chain.layers[j];
-          lw.own0.push_back(o0);
-          lw.own1.push_back(o1);
-          lw.win0.push_back(std::min(o0, in0));
-          lw.win1.push_back(std::max(o1, in1));
-        }
-      }
-      for (const int id : chain.nodes) {
-        chain_of_node_[static_cast<std::size_t>(id)] =
-            static_cast<int>(tile_chains_.size());
-      }
-      tile_chains_.push_back(std::move(chain));
+  chain_sparse_.clear();  // force sync_chains to recompile
+  sync_chains();
+  return previous;
+}
+
+FunctionalNetwork::ChainExec FunctionalNetwork::compile_chain(
+    std::vector<int> nodes, int tile_rows) const {
+  // Resolve every layer's per-tile OWNED band (exit layer: tile_rows
+  // bands; interior layers: proportional bands — any exact partition
+  // preserves bitwise parity) and its WINDOW, grown backward so each
+  // layer's window covers the input halo of the next layer's window.
+  ChainExec chain;
+  chain.nodes = std::move(nodes);
+  const std::size_t depth = chain.nodes.size();
+  chain.layers.resize(depth);
+  const int exit_h = spec_.graph.node(chain.nodes.back()).spec.out_shape.h;
+  chain.tiles = (exit_h + tile_rows - 1) / tile_rows;
+  for (int t = 0; t < chain.tiles; ++t) {
+    // Exit layer: window == owned band.
+    {
+      ChainLayerWindows& lw = chain.layers[depth - 1];
+      const int o0 = t * tile_rows;
+      const int o1 = std::min(exit_h, o0 + tile_rows);
+      lw.own0.push_back(o0);
+      lw.own1.push_back(o1);
+      lw.win0.push_back(o0);
+      lw.win1.push_back(o1);
+    }
+    for (std::size_t j = depth - 1; j-- > 0;) {
+      const LayerSpec& next_ls = spec_.graph.node(chain.nodes[j + 1]).spec;
+      const ChainLayerWindows& next = chain.layers[j + 1];
+      const int h = spec_.graph.node(chain.nodes[j]).spec.out_shape.h;
+      const int o0 = static_cast<int>(static_cast<std::int64_t>(h) * t /
+                                      chain.tiles);
+      const int o1 = static_cast<int>(static_cast<std::int64_t>(h) *
+                                      (t + 1) / chain.tiles);
+      const int in0 = std::clamp(
+          next.win0.back() * next_ls.conv.stride - next_ls.conv.padding, 0,
+          h);
+      const int in1 = std::clamp((next.win1.back() - 1) * next_ls.conv.stride -
+                                     next_ls.conv.padding + next_ls.conv.kernel,
+                                 0, h);
+      ChainLayerWindows& lw = chain.layers[j];
+      lw.own0.push_back(o0);
+      lw.own1.push_back(o1);
+      lw.win0.push_back(std::min(o0, in0));
+      lw.win1.push_back(std::max(o1, in1));
     }
   }
-  return previous;
+  return chain;
+}
+
+void FunctionalNetwork::sync_chains() {
+  const std::size_t n = spec_.graph.size();
+  bool stale = chain_sparse_.size() != n;
+  chain_sparse_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t sparse = effective_route(i) != Route::kDense;
+    stale = stale || sparse != chain_sparse_[i];
+    chain_sparse_[i] = sparse;
+  }
+  if (!stale) return;
+  static const std::vector<TileChain> kNoChains;
+  const std::vector<TileChain>& planned =
+      exec_plan_ != nullptr ? exec_plan_->tiles.chains : kNoChains;
+  std::vector<int> plan_chain(n, -1);
+  for (std::size_t k = 0; k < planned.size(); ++k) {
+    for (const int id : planned[k].nodes) {
+      plan_chain[static_cast<std::size_t>(id)] = static_cast<int>(k);
+    }
+  }
+  chains_.clear();
+  chain_of_node_.assign(n, -1);
+  const auto close_chain = [&](std::vector<int> nodes) {
+    const int k = plan_chain[static_cast<std::size_t>(nodes.front())];
+    const int tile_rows =
+        k >= 0 && nodes == planned[static_cast<std::size_t>(k)].nodes
+            ? planned[static_cast<std::size_t>(k)].tile_rows
+            : spec_.graph.node(nodes.back()).spec.out_shape.h;
+    for (const int id : nodes) {
+      chain_of_node_[static_cast<std::size_t>(id)] =
+          static_cast<int>(chains_.size());
+    }
+    chains_.push_back(compile_chain(std::move(nodes), tile_rows));
+  };
+  // build_tile_plan's grouping rule (consecutive ids, each the next's
+  // only parent), kept inside one plan chain, and split where the
+  // timestep-invariant cache would skip a head but not its successor.
+  std::vector<int> current;
+  for (std::size_t i = 0; i < n; ++i) {
+    const LayerNode& node = spec_.graph.node(static_cast<int>(i));
+    if (!current.empty()) {
+      const auto prev = static_cast<std::size_t>(current.back());
+      if (chain_sparse_[i] && node.id == current.back() + 1 &&
+          node.parents.front() == current.back() &&
+          plan_chain[i] == plan_chain[prev] &&
+          time_invariant_[i] == time_invariant_[prev]) {
+        current.push_back(node.id);
+        continue;
+      }
+      close_chain(std::move(current));
+      current.clear();
+    }
+    if (chain_sparse_[i]) current.push_back(node.id);
+  }
+  if (!current.empty()) close_chain(std::move(current));
 }
 
 Route FunctionalNetwork::effective_route(std::size_t idx) const noexcept {
@@ -422,22 +468,17 @@ namespace {
 
 }  // namespace
 
-bool FunctionalNetwork::chain_routes_active(
-    const ChainExec& chain) const noexcept {
-  if (chain.tiles <= 1) return false;
-  for (const int id : chain.nodes) {
-    if (effective_route(static_cast<std::size_t>(id)) == Route::kDense) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
+void FunctionalNetwork::run_chain(ChainExec& chain, int timestep) {
   const std::size_t depth = chain.nodes.size();
+  // One tile owns every row, so each layer's window result IS the node's
+  // output: layers write their carriers in place, nothing is committed.
+  const bool banded = chain.tiles > 1;
   sparse::TileScratch& ts = workspace_.tile_scratch(0);
   const int head_parent =
       spec_.graph.node(chain.nodes.front()).parents.front();
+  // The head's first fragment also carries its input's sparsify, if any.
+  std::uint64_t obs_t0 = 0;
+  if (exec_observer_ != nullptr) obs_t0 = exec_now_ns();
   const std::vector<sparse::SparseSample>& chain_input =
       sparse_value(head_parent);
   const std::size_t batch = chain_input.size();
@@ -445,16 +486,18 @@ void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
   // Per-member prologue: clear the owned-entry accumulators, open the
   // banded LIF timestep, and count the execution ONCE per node (tiles
   // are fragments of one logical node execution).
-  chain.acc.resize(depth);
+  if (banded) chain.acc.resize(depth);
   for (std::size_t j = 0; j < depth; ++j) {
     const auto idx = static_cast<std::size_t>(chain.nodes[j]);
-    const int channels =
-        spec_.graph.node(chain.nodes[j]).spec.out_shape.c;
-    auto& acc_j = chain.acc[j];
-    acc_j.resize(batch);
-    for (auto& per_sample : acc_j) {
-      per_sample.resize(static_cast<std::size_t>(channels));
-      for (auto& entries : per_sample) entries.clear();
+    if (banded) {
+      const int channels =
+          spec_.graph.node(chain.nodes[j]).spec.out_shape.c;
+      auto& acc_j = chain.acc[j];
+      acc_j.resize(batch);
+      for (auto& per_sample : acc_j) {
+        per_sample.resize(static_cast<std::size_t>(channels));
+        for (auto& entries : per_sample) entries.clear();
+      }
     }
     if (is_spiking_[idx]) lif_[idx].begin_step();
     ++exec_stats_.node_executions;
@@ -471,16 +514,50 @@ void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
       const sparse::RowWindow window{lw.win0[tile], lw.win1[tile]};
       const int own0 = lw.own0[tile];
       const int own1 = lw.own1[tile];
-      std::uint64_t obs_t0 = 0;
-      if (exec_observer_ != nullptr) obs_t0 = exec_now_ns();
+      if (exec_observer_ != nullptr && (tile > 0 || j > 0)) {
+        obs_t0 = exec_now_ns();
+      }
       const Route route = node_route_[idx];
       const quant::NodeQuantPlan* nq = node_quant(idx);
-      std::vector<sparse::SparseSample>& out_carrier = ts.carriers[j % 2];
+      std::vector<sparse::SparseSample>& out_carrier =
+          banded ? ts.carriers[j % 2] : sparse_values_[idx];
       sparse::ConvWork work;
+      // The window's conv output as COO: the int8 gather kernels sample
+      // by sample when planned, else the float batch kernels over the
+      // per-run packed weights.
+      const auto gather = [&](std::vector<sparse::SparseSample>& out) {
+        if (nq != nullptr) {
+          out.resize(batch);
+          for (std::size_t n = 0; n < batch; ++n) {
+            out[n] = route == Route::kSubmanifold
+                         ? quant::int8_submanifold_conv2d(
+                               (*input)[n], nq->weights, biases_[idx],
+                               nq->input_scale, &work, &workspace_, &window)
+                         : quant::int8_sparse_conv2d_csr(
+                               (*input)[n], nq->weights, biases_[idx],
+                               nq->input_scale, &work, &workspace_, &window);
+          }
+          return;
+        }
+        const std::vector<float>& packed =
+            workspace_.packed_slot(static_cast<int>(idx));
+        out = route == Route::kSubmanifold
+                  ? sparse::submanifold_conv2d_batch_window(
+                        *input, weights_[idx], biases_[idx], ls.conv, window,
+                        &work, &workspace_,
+                        sparse::SubmanifoldThreading::kAuto, packed)
+                  : sparse::sparse_conv2d_csr_batch_window(
+                        *input, weights_[idx], biases_[idx], ls.conv, window,
+                        &work, &workspace_,
+                        sparse::SubmanifoldThreading::kAuto, packed);
+      };
       if (is_spiking_[idx]) {
         // Synaptic current over the window rows, then the banded LIF
-        // step: the same current -> spike arithmetic as the untiled
-        // spiking dispatch, restricted to the tile's rows.
+        // step. The LIF update needs dense current: narrow layers
+        // scatter straight into the window tensor (few output planes
+        // per tap, no COO bookkeeping), wide ones gather and densify —
+        // the zero fill is the zero-bias dense fill sparse routes
+        // require, so both match dense execution bitwise.
         if (nq == nullptr && route == Route::kCsr &&
             scatter_current_route(ls.conv)) {
           sparse::sparse_conv2d_window_into(*input, weights_[idx],
@@ -488,34 +565,7 @@ void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
                                             ts.current_window, &work);
         } else {
           std::vector<sparse::SparseSample> current;
-          if (nq != nullptr) {
-            current.resize(batch);
-            for (std::size_t n = 0; n < batch; ++n) {
-              current[n] =
-                  route == Route::kSubmanifold
-                      ? quant::int8_submanifold_conv2d(
-                            (*input)[n], nq->weights, biases_[idx],
-                            nq->input_scale, &work, &workspace_, &window)
-                      : quant::int8_sparse_conv2d_csr(
-                            (*input)[n], nq->weights, biases_[idx],
-                            nq->input_scale, &work, &workspace_, &window);
-            }
-          } else {
-            const std::vector<float>& packed =
-                workspace_.packed_slot(static_cast<int>(idx));
-            current =
-                route == Route::kSubmanifold
-                    ? sparse::submanifold_conv2d_batch_window(
-                          *input, weights_[idx], biases_[idx], ls.conv,
-                          window, &work, &workspace_,
-                          sparse::SubmanifoldThreading::kAuto, packed)
-                    : sparse::sparse_conv2d_csr_batch_window(
-                          *input, weights_[idx], biases_[idx], ls.conv,
-                          window, &work, &workspace_,
-                          sparse::SubmanifoldThreading::kAuto, packed);
-          }
-          // Densify the window (zero fill == the zero-bias dense fill
-          // sparse routes require, so this matches the untiled densify).
+          gather(current);
           const int rows = window.out_row1 - window.out_row0;
           ts.current_window.reset(TensorShape{static_cast<int>(batch),
                                               ls.out_shape.c, rows,
@@ -546,50 +596,26 @@ void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
           auto& sample = out_carrier[n];
           sample.resize(static_cast<std::size_t>(ls.out_shape.c));
           for (int c = 0; c < ls.out_shape.c; ++c) {
-            const auto& entries =
-                ts.spike_entries[n][static_cast<std::size_t>(c)];
-            const auto owned = owned_entries(entries, own0, own1);
-            auto& acc = chain.acc[j][n][static_cast<std::size_t>(c)];
-            acc.insert(acc.end(), owned.begin(), owned.end());
+            auto& entries = ts.spike_entries[n][static_cast<std::size_t>(c)];
             sample[static_cast<std::size_t>(c)] =
                 sparse::CooChannel::from_sorted_entries(
                     ls.out_shape.h, ls.out_shape.w,
-                    std::vector<sparse::CooEntry>(entries.begin(),
-                                                  entries.end()));
+                    banded ? std::vector<sparse::CooEntry>(entries.begin(),
+                                                           entries.end())
+                           : std::move(entries));
           }
         }
       } else {
-        if (nq != nullptr) {
-          out_carrier.resize(batch);
-          for (std::size_t n = 0; n < batch; ++n) {
-            out_carrier[n] =
-                route == Route::kSubmanifold
-                    ? quant::int8_submanifold_conv2d(
-                          (*input)[n], nq->weights, biases_[idx],
-                          nq->input_scale, &work, &workspace_, &window)
-                    : quant::int8_sparse_conv2d_csr(
-                          (*input)[n], nq->weights, biases_[idx],
-                          nq->input_scale, &work, &workspace_, &window);
-          }
-        } else {
-          const std::vector<float>& packed =
-              workspace_.packed_slot(static_cast<int>(idx));
-          out_carrier =
-              route == Route::kSubmanifold
-                  ? sparse::submanifold_conv2d_batch_window(
-                        *input, weights_[idx], biases_[idx], ls.conv,
-                        window, &work, &workspace_,
-                        sparse::SubmanifoldThreading::kAuto, packed)
-                  : sparse::sparse_conv2d_csr_batch_window(
-                        *input, weights_[idx], biases_[idx], ls.conv,
-                        window, &work, &workspace_,
-                        sparse::SubmanifoldThreading::kAuto, packed);
-        }
+        gather(out_carrier);
         if (ls.relu_after) {
+          // Sparse ReLU: dropping negative entries leaves exactly relu()
+          // of the dense image (implicit zeros are fixpoints).
           for (sparse::SparseSample& sample : out_carrier) {
             sparse::relu_sample_inplace(sample);
           }
         }
+      }
+      if (banded) {
         for (std::size_t n = 0; n < batch; ++n) {
           for (int c = 0; c < ls.out_shape.c; ++c) {
             const auto owned = owned_entries(
@@ -615,8 +641,11 @@ void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
   // adopts O(1); spiking members publish the banded timestep.
   for (std::size_t j = 0; j < depth; ++j) {
     const auto idx = static_cast<std::size_t>(chain.nodes[j]);
-    const LayerSpec& ls = spec_.graph.node(chain.nodes[j]).spec;
     if (is_spiking_[idx]) lif_[idx].end_step();
+    sparse_valid_[idx] = 1;
+    dense_valid_[idx] = 0;
+    if (!banded) continue;
+    const LayerSpec& ls = spec_.graph.node(chain.nodes[j]).spec;
     auto& out_samples = sparse_values_[idx];
     out_samples.resize(batch);
     for (std::size_t n = 0; n < batch; ++n) {
@@ -630,8 +659,6 @@ void FunctionalNetwork::run_tiled_chain(ChainExec& chain, int timestep) {
         entries = {};
       }
     }
-    sparse_valid_[idx] = 1;
-    dense_valid_[idx] = 0;
   }
 }
 
@@ -664,44 +691,6 @@ const std::vector<sparse::SparseSample>& FunctionalNetwork::sparse_value(
     ++exec_stats_.sparsify_boundaries;
   }
   return sparse_values_[idx];
-}
-
-void FunctionalNetwork::run_sparse_conv(const LayerNode& node,
-                                        std::size_t idx, Route route) {
-  const LayerSpec& ls = node.spec;
-  const std::vector<sparse::SparseSample>& input =
-      sparse_value(node.parents.front());
-  auto& out = sparse_values_[idx];
-  sparse::ConvWork work;
-  if (const quant::NodeQuantPlan* nq = node_quant(idx)) {
-    // Real int8 gather kernels, sample by sample (the inner reduction
-    // threads itself); the quant plan carries the packed int8 rows.
-    out.resize(input.size());
-    for (std::size_t n = 0; n < input.size(); ++n) {
-      out[n] = route == Route::kSubmanifold
-                   ? quant::int8_submanifold_conv2d(
-                         input[n], nq->weights, biases_[idx],
-                         nq->input_scale, &work, &workspace_)
-                   : quant::int8_sparse_conv2d_csr(
-                         input[n], nq->weights, biases_[idx],
-                         nq->input_scale, &work, &workspace_);
-    }
-  } else {
-    const std::vector<float>& packed =
-        workspace_.packed_slot(static_cast<int>(idx));
-    out = route == Route::kSubmanifold
-              ? sparse::submanifold_conv2d_batch(
-                    input, weights_[idx], biases_[idx], ls.conv, &work,
-                    &workspace_, sparse::SubmanifoldThreading::kAuto, packed)
-              : sparse::sparse_conv2d_csr_batch(
-                    input, weights_[idx], biases_[idx], ls.conv, &work,
-                    &workspace_, sparse::SubmanifoldThreading::kAuto, packed);
-  }
-  sparse_valid_[idx] = 1;
-  dense_valid_[idx] = 0;
-  ++exec_stats_.sparse_node_runs;
-  exec_stats_.sparse_macs += work.sparse_macs;
-  exec_stats_.dense_macs_avoided += work.dense_macs;
 }
 
 void FunctionalNetwork::run_quant_conv(const quant::NodeQuantPlan& nq,
@@ -818,24 +807,7 @@ DenseTensor FunctionalNetwork::run_impl(
   std::vector<DenseTensor>& values = values_;
   exec_stats_ = ExecStats{};
   prepare_packed_weights();
-  for (ChainExec& chain : tile_chains_) chain.done_step = -1;
-  // Spiking nodes feeding a sparse-routed consumer this run emit their
-  // spikes as COO directly (step_sparse), skipping the consumer's
-  // chain-head slice_to_channels re-scan of a spike tensor that was just
-  // written. Dense consumers (skip connections) densify lazily — spikes
-  // are exactly 1.0f, so both representations are bitwise identical.
-  spike_sparse_emit_.assign(n_nodes, 0);
-  if (exec_plan_ != nullptr && !activation_hook_) {
-    for (const LayerNode& node : spec_.graph.nodes()) {
-      if (node.parents.size() != 1 ||
-          effective_route(static_cast<std::size_t>(node.id)) ==
-              Route::kDense) {
-        continue;
-      }
-      const auto pidx = static_cast<std::size_t>(node.parents.front());
-      if (is_spiking_[pidx]) spike_sparse_emit_[pidx] = 1;
-    }
-  }
+  sync_chains();
 
   // Timestep-invariant caching: stateless nodes fed only by the constant
   // image input compute identical values every timestep (e.g. the whole
@@ -868,28 +840,20 @@ DenseTensor FunctionalNetwork::run_impl(
           (dense_valid_[idx] || sparse_valid_[idx])) {
         continue;  // cached from t == 0
       }
-      // Tiled chain dispatch: the chain head pulls every member through
-      // the tile walk in one shot; members then skip their slot in the
-      // node loop. A chain whose routes are demoted this run (or whose
-      // geometry is the degenerate 1 tile) falls through to the normal
-      // untiled per-node execution below.
-      if (!chain_of_node_.empty() && chain_of_node_[idx] >= 0) {
-        ChainExec& chain =
-            tile_chains_[static_cast<std::size_t>(chain_of_node_[idx])];
-        if (chain.done_step == t) continue;
-        if (node.id == chain.nodes.front() && chain_routes_active(chain)) {
-          run_tiled_chain(chain, t);
-          chain.done_step = t;
-          continue;
-        }
+      // Sparse-routed nodes run inside their chain: the head walks every
+      // member (filling the per-node COO carriers, which densify lazily
+      // at route boundaries — dense_value); members, which always follow
+      // their head in node order, then skip their slot.
+      if (const int chain = chain_of_node_[idx]; chain >= 0) {
+        ChainExec& exec = chains_[static_cast<std::size_t>(chain)];
+        if (node.id == exec.nodes.front()) run_chain(exec, t);
+        continue;
       }
       ++exec_stats_.node_executions;
       std::uint64_t obs_t0 = 0;
       if (exec_observer_ != nullptr) obs_t0 = exec_now_ns();
       // Dense node outputs land in the persistent per-node buffer, so
-      // steady state reuses the previous call's allocations; sparse
-      // routes fill the per-node COO carrier instead and densify lazily
-      // at route boundaries (dense_value).
+      // steady state reuses the previous call's allocations.
       DenseTensor& out = values[idx];
       switch (ls.kind) {
         case LayerKind::kInput: {
@@ -906,18 +870,6 @@ DenseTensor FunctionalNetwork::run_impl(
           break;
         }
         case LayerKind::kConv: {
-          const Route route = effective_route(idx);
-          if (route != Route::kDense) {
-            run_sparse_conv(node, idx, route);
-            if (ls.relu_after) {
-              // Sparse ReLU: dropping negative entries leaves exactly
-              // relu() of the dense image (implicit zeros are fixpoints).
-              for (sparse::SparseSample& sample : sparse_values_[idx]) {
-                sparse::relu_sample_inplace(sample);
-              }
-            }
-            break;
-          }
           const DenseTensor& src = dense_value(node.parents[0]);
           if (const auto* nq = node_quant(idx)) {
             run_quant_conv(*nq, src, biases_[idx], out);
@@ -943,62 +895,15 @@ DenseTensor FunctionalNetwork::run_impl(
         }
         case LayerKind::kSpikingConv:
         case LayerKind::kAdaptiveSpikingConv: {
-          // The synaptic-current conv routes dense or sparse; the LIF
-          // update stays float over the dense current (membrane state is
-          // dense by nature), so the spike output is always dense.
-          const Route route = effective_route(idx);
-          if (route == Route::kCsr && node_quant(idx) == nullptr &&
-              scatter_current_route(ls.conv)) {
-            // The LIF consumer needs dense current, so narrow layers
-            // scatter straight into the staging tensor — same arithmetic
-            // as CSR + densify (bitwise, incl. the implicit zero-bias
-            // fill), minus the COO materialization and the per-site
-            // bookkeeping. Wide layers keep the vectorized gather
-            // reduction below.
-            sparse::ConvWork work;
-            sparse::sparse_conv2d_batch_into(
-                sparse_value(node.parents.front()), weights_[idx],
-                biases_[idx], ls.conv, conv_scratch_, &work);
-            ++exec_stats_.sparse_node_runs;
-            exec_stats_.sparse_macs += work.sparse_macs;
-            exec_stats_.dense_macs_avoided += work.dense_macs;
-          } else if (route != Route::kDense) {
-            run_sparse_conv(node, idx, route);
-            densify_samples(sparse_values_[idx], conv_scratch_);
-            ++exec_stats_.densify_boundaries;
-            // The carrier held the pre-LIF current, not this node's
-            // output — invalidate it before the spikes land in `out`.
-            sparse_valid_[idx] = 0;
-          } else if (const auto* nq = node_quant(idx)) {
-            run_quant_conv(*nq, dense_value(node.parents[0]), biases_[idx],
-                           conv_scratch_);
+          const DenseTensor& src = dense_value(node.parents[0]);
+          if (const auto* nq = node_quant(idx)) {
+            run_quant_conv(*nq, src, biases_[idx], conv_scratch_);
           } else {
-            conv2d_into(dense_value(node.parents[0]), weights_[idx],
-                        biases_[idx], ls.conv, conv_scratch_, &workspace_);
+            conv2d_into(src, weights_[idx], biases_[idx], ls.conv,
+                        conv_scratch_, &workspace_);
           }
-          if (spike_sparse_emit_[idx]) {
-            lif_[idx].step_sparse(conv_scratch_, spike_staging_);
-            const TensorShape& os = lif_[idx].shape();
-            auto& samples = sparse_values_[idx];
-            samples.resize(static_cast<std::size_t>(os.n));
-            for (int n = 0; n < os.n; ++n) {
-              auto& sample = samples[static_cast<std::size_t>(n)];
-              sample.resize(static_cast<std::size_t>(os.c));
-              for (int c = 0; c < os.c; ++c) {
-                sample[static_cast<std::size_t>(c)] =
-                    sparse::CooChannel::from_sorted_entries(
-                        os.h, os.w,
-                        std::move(
-                            spike_staging_[static_cast<std::size_t>(n)]
-                                          [static_cast<std::size_t>(c)]));
-              }
-            }
-            sparse_valid_[idx] = 1;
-            dense_valid_[idx] = 0;
-          } else {
-            out = lif_[idx].step(conv_scratch_);
-            dense_valid_[idx] = 1;
-          }
+          out = lif_[idx].step(conv_scratch_);
+          dense_valid_[idx] = 1;
           break;
         }
         case LayerKind::kFullyConnected: {
@@ -1052,7 +957,7 @@ DenseTensor FunctionalNetwork::run_impl(
         activation_hook_(node.id, out);
       }
       if (exec_observer_ != nullptr) {
-        exec_observer_->on_node(node.id, effective_route(idx), t, obs_t0,
+        exec_observer_->on_node(node.id, Route::kDense, t, obs_t0,
                                 exec_now_ns(), 0, 1);
       }
     }
@@ -1062,7 +967,10 @@ DenseTensor FunctionalNetwork::run_impl(
     if (t == 0) {
       accumulated = step_out;
     } else {
-      accumulated = add(accumulated, step_out);
+      // add()'s per-element sum, in place: no fresh buffer per timestep.
+      float* acc = accumulated.raw();
+      const float* o = step_out.raw();
+      for (std::size_t i = 0; i < accumulated.size(); ++i) acc[i] += o[i];
     }
   }
 

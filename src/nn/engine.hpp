@@ -15,11 +15,13 @@
 //
 // Execution routes (exec_plan.hpp): with an ExecutionPlan installed, each
 // conv-shaped node executes kDense, kCsr or kSubmanifold. Sparse-routed
-// nodes consume and produce a COO activation carrier, so consecutive
-// sparse layers chain in sparse form end to end; the engine crosses
-// representations (sparsify/densify) only at route boundaries. kCsr
-// results are bitwise identical to dense execution (zero-bias layers);
-// kSubmanifold is stored-site exact (see exec_plan.hpp).
+// nodes consume and produce a COO activation carrier and all execute in
+// one chain walker (a chain that does not tile is walked as one
+// full-plane tile), so consecutive sparse layers chain in sparse form
+// end to end; the engine crosses representations (sparsify/densify)
+// only at route boundaries. kCsr results are bitwise identical to dense
+// execution (zero-bias layers); kSubmanifold is stored-site exact (see
+// exec_plan.hpp).
 
 #include <cstdint>
 #include <functional>
@@ -57,11 +59,13 @@ struct ExecStats {
 /// Per-node execution observer: on_node fires after every node the
 /// engine actually executes (cache-skipped nodes never fire), with the
 /// route the node took, the timestep, and raw steady_clock nanosecond
-/// stamps bracketing the node's kernel (+ activation hook). Nodes inside
-/// a tiled chain fire once per tile fragment with `tile` in
-/// [0, tile_count); every other execution reports (0, 1) — so summing
-/// durations is always correct, and counting executions means counting
-/// tile == 0 calls. The engine holds the observer as a non-owning
+/// stamps bracketing the node's kernel (+ activation hook). Sparse-routed
+/// nodes run inside the chain walker and fire once per tile fragment
+/// with `tile` in [0, tile_count) — (0, 1) for a chain that does not
+/// tile, and for every dense node — so summing durations is always
+/// correct, and counting executions means counting tile == 0 calls. A
+/// chain head's first fragment includes sparsifying the chain's input.
+/// The engine holds the observer as a non-owning
 /// pointer and calls it from the run thread only; implementations must
 /// be noexcept and cheap — this sits inside the per-node loop. The obs
 /// layer's LayerProfiler builds per-layer execution profiles on top of
@@ -236,14 +240,11 @@ class FunctionalNetwork {
   /// on first access (cached for the rest of the timestep).
   [[nodiscard]] const std::vector<sparse::SparseSample>& sparse_value(
       int node_id);
-  /// Executes one conv-shaped node on a sparse route into its COO
-  /// carrier (float gather kernels, or the int8 ones when planned).
-  void run_sparse_conv(const LayerNode& node, std::size_t idx, Route route);
   /// Densifies per-sample channels into `out` ([N, C, H, W]).
   void densify_samples(const std::vector<sparse::SparseSample>& samples,
                        sparse::DenseTensor& out);
 
-  // --- Tiled chain execution (exec_plan.hpp TilePlan) -------------------
+  // --- Chain execution (exec_plan.hpp TilePlan) ------------------------
   /// Precomputed per-tile row geometry of one chain layer: OWNED output
   /// rows (each global row owned by exactly one tile) and the WINDOW
   /// rows actually computed (owned plus the halo later layers need),
@@ -251,30 +252,38 @@ class FunctionalNetwork {
   struct ChainLayerWindows {
     std::vector<int> own0, own1, win0, win1;
   };
-  /// One installed TileChain, compiled against this graph: member node
-  /// ids, per-layer tile windows (halo growth resolved backward through
-  /// the chain's kernel extents and strides at install time), and the
-  /// per-layer owned-entry accumulators the walker commits into
-  /// (buffers reused across timesteps and runs).
+  /// One chain compiled against this graph: member node ids, per-layer
+  /// tile windows (halo growth resolved backward through the chain's
+  /// kernel extents and strides at compile time), and the per-layer
+  /// owned-entry accumulators a banded walk commits into (buffers reused
+  /// across timesteps and runs). A chain that does not tile has one
+  /// full-plane window per layer.
   struct ChainExec {
     std::vector<int> nodes;
     int tiles = 1;
     std::vector<ChainLayerWindows> layers;
-    int done_step = -1;  ///< timestep this chain last ran (reset per run)
     std::vector<std::vector<std::vector<std::vector<sparse::CooEntry>>>>
         acc;  ///< [layer][sample][channel] committed entries
   };
-  /// True when every chain member keeps its sparse route this run (any
-  /// demoted member — quant simulate, hook — runs the chain untiled).
-  [[nodiscard]] bool chain_routes_active(
-      const ChainExec& chain) const noexcept;
+  /// Compiles `nodes` (a consecutive parent-linked run) at `tile_rows`
+  /// exit-layer rows per tile.
+  [[nodiscard]] ChainExec compile_chain(std::vector<int> nodes,
+                                        int tile_rows) const;
+  /// Partitions the nodes that run sparse this run (effective_route) into
+  /// chains, recompiling only when that set changed since the last call.
+  /// A plan chain whose members all run sparse keeps its tile geometry;
+  /// every other sparse run — nodes the TilePlan leaves out, and the
+  /// pieces of a plan chain split by a demoted member — compiles as a
+  /// 1-tile chain.
+  void sync_chains();
   /// Executes one timestep of `chain` tile by tile: each exit-row band
   /// is pushed through every chain layer (windowed kernels, banded LIF
   /// stepping) before the next band starts; owned output rows are
-  /// committed per layer and published as the nodes' COO carriers.
-  /// Bitwise identical to the untiled per-node execution of the same
-  /// nodes for every tile geometry.
-  void run_tiled_chain(ChainExec& chain, int timestep);
+  /// committed per layer and published as the nodes' COO carriers. With
+  /// one tile the layers write their carriers directly. Bitwise
+  /// identical to dense execution of the same nodes (kCsr) for every
+  /// tile geometry.
+  void run_chain(ChainExec& chain, int timestep);
 
   NetworkSpec spec_;
   std::vector<sparse::DenseTensor> weights_;   // per node (empty if none)
@@ -308,16 +317,12 @@ class FunctionalNetwork {
   std::vector<std::vector<sparse::SparseSample>> sparse_values_;
   std::vector<std::uint8_t> dense_valid_;
   std::vector<std::uint8_t> sparse_valid_;
-  // Tiled chains compiled from the plan's TilePlan at install time, plus
-  // the node -> chain index (-1 outside every chain).
-  std::vector<ChainExec> tile_chains_;
+  // Chains over the nodes that run sparse (sync_chains), the node ->
+  // chain index (-1 for dense nodes) and the per-node sparse flags the
+  // chains were compiled for.
+  std::vector<ChainExec> chains_;
   std::vector<int> chain_of_node_;
-  // Spiking nodes whose spikes feed a sparse-routed consumer this run
-  // emit COO directly (LifState::step_sparse) instead of a dense spike
-  // tensor the consumer would immediately re-scan; `spike_staging_` is
-  // the reused emission buffer.
-  std::vector<std::uint8_t> spike_sparse_emit_;
-  SpikeCoo spike_staging_;
+  std::vector<std::uint8_t> chain_sparse_;
   ExecStats exec_stats_;
   ExecObserver* exec_observer_ = nullptr;
 };

@@ -217,7 +217,7 @@ TilePlan build_tile_plan(const NetworkSpec& spec, const ExecutionPlan& plan,
     chain.nodes = std::move(nodes);
     chain.tile_rows = std::max(exit_h, 1);
     chain.tiles = 1;
-    if (options.enable && exit_h > 0) {
+    if (exit_h > 0) {
       if (options.forced_tile_rows > 0) {
         chain.tile_rows = std::min(options.forced_tile_rows, exit_h);
         chain.tiles = (exit_h + chain.tile_rows - 1) / chain.tile_rows;

@@ -59,11 +59,12 @@ struct TileChain {
 
 /// Tiled execution geometry attached to an ExecutionPlan. Interior
 /// layers of a tile get proportional row bands grown backward through
-/// each conv's kernel/stride halo; a chain with tiles == 1 (or an empty
-/// plan) runs exactly today's layer-at-a-time execution. Tiling never
-/// changes results: FP32 outputs are bitwise identical to untiled
-/// execution for every tile size (see RowWindow in sparse_ops.hpp for
-/// why).
+/// each conv's kernel/stride halo; a chain with tiles == 1 is walked as
+/// one full-plane tile, layer at a time. Sparse-routed nodes the plan
+/// leaves out of every chain (or an empty TilePlan) are walked the same
+/// way, grouped by build_tile_plan's chain rule. Tiling never changes
+/// results: FP32 outputs are bitwise identical to untiled execution for
+/// every tile size (see RowWindow in sparse_ops.hpp for why).
 struct TilePlan {
   std::vector<TileChain> chains;
 
@@ -77,10 +78,9 @@ struct TileOptions {
   /// per-core L2 slice, leaving room for weights and the tap stream.
   std::size_t l2_budget_bytes = 1u << 20;
   /// Exit-layer rows per tile, overriding the cache model (tests and the
-  /// bench tile sweep). 0 = let the model pick.
+  /// bench tile sweep); clamped to each chain's exit extent, so INT_MAX
+  /// pins every chain to 1 tile (== untiled). 0 = let the model pick.
   int forced_tile_rows = 0;
-  /// Master switch: false pins every chain to 1 tile (== untiled).
-  bool enable = true;
 };
 
 /// A prepared per-node route assignment plus the density telemetry it was

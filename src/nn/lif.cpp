@@ -80,16 +80,6 @@ DenseTensor LifState::step(const DenseTensor& current) {
   return spikes;
 }
 
-void LifState::step_sparse(const DenseTensor& current, SpikeCoo& spikes_out) {
-  if (!(current.shape() == shape_)) {
-    throw std::invalid_argument("LIF step: input shape mismatch");
-  }
-  spikes_out.clear();
-  begin_step();
-  step_rows(current, 0, 0, shape_.h, spikes_out);
-  end_step();
-}
-
 void LifState::begin_step() {
   // reset() reuses the buffer; contents are don't-care — every element
   // is committed by exactly one owned band before the end_step() swap.

@@ -23,7 +23,7 @@ namespace evedge::nn {
 using sparse::DenseTensor;
 using sparse::TensorShape;
 
-/// Spike coordinates emitted by the sparse LIF stepping paths, indexed
+/// Spike coordinates emitted by the banded LIF stepping path, indexed
 /// [sample][channel]; every entry's value is exactly 1.0f, so adopting
 /// them as CooChannels densifies to exactly the spike tensor step()
 /// would have returned.
@@ -51,14 +51,6 @@ class LifState {
   /// Advances one timestep with synaptic input `current`; returns the
   /// binary spike tensor (values 0 or 1).
   [[nodiscard]] DenseTensor step(const DenseTensor& current);
-
-  /// Sparse-output twin of step(): advances one full timestep and emits
-  /// spike coordinates into `spikes_out` (cleared and resized to
-  /// [n][c]) instead of materializing the dense spike tensor — the
-  /// chain-head sparsify scan the engine otherwise pays per spiking
-  /// node. Membrane updates, spike decisions and firing counters are
-  /// bitwise/exactly identical to step()'s.
-  void step_sparse(const DenseTensor& current, SpikeCoo& spikes_out);
 
   // --- Tiled stepping (engine chain walker) --------------------------
   // One timestep is split into row bands: begin_step() once, then

@@ -41,13 +41,12 @@ Tracer& Tracer::instance() {
 }
 
 void Tracer::set_ring_capacity(std::size_t capacity) {
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  capacity_ = std::max<std::size_t>(1, capacity);
+  capacity_.store(std::max<std::size_t>(1, capacity),
+                  std::memory_order_relaxed);
 }
 
 std::size_t Tracer::ring_capacity() const noexcept {
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  return capacity_;
+  return capacity_.load(std::memory_order_relaxed);
 }
 
 void Tracer::clear() {
@@ -63,7 +62,7 @@ std::vector<TraceEvent> Tracer::collect() const {
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   for (const std::unique_ptr<Ring>& ring : rings_) {
     const std::uint32_t n = ring->count.load(std::memory_order_acquire);
-    out.insert(out.end(), ring->slots.begin(), ring->slots.begin() + n);
+    out.insert(out.end(), ring->slots, ring->slots + n);
   }
   return out;
 }
@@ -87,12 +86,16 @@ Tracer::Ring& Tracer::local_ring() {
   // the way to a slot); afterwards the thread-local pointer short-cuts
   // straight to it. Rings are owned by the registry and outlive their
   // threads, so a snapshot after a worker joined still sees its events.
+  // The ring is built before the lock is taken, so concurrent first
+  // emits serialise only on the registration itself.
   thread_local Ring* ring = nullptr;
   thread_local const Tracer* owner = nullptr;
   if (ring == nullptr || owner != this) {
+    auto fresh =
+        std::make_unique<Ring>(capacity_.load(std::memory_order_relaxed));
     const std::lock_guard<std::mutex> lock(registry_mutex_);
-    rings_.push_back(std::make_unique<Ring>(
-        capacity_, static_cast<std::uint32_t>(rings_.size())));
+    fresh->tid = static_cast<std::uint32_t>(rings_.size());
+    rings_.push_back(std::move(fresh));
     ring = rings_.back().get();
     owner = this;
   }
@@ -102,12 +105,12 @@ Tracer::Ring& Tracer::local_ring() {
 void Tracer::push(TraceEvent event) noexcept {
   Ring& ring = local_ring();
   const std::uint32_t idx = ring.count.load(std::memory_order_relaxed);
-  if (idx >= ring.slots.size()) {
+  if (idx >= ring.capacity) {
     ring.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   event.tid = ring.tid;
-  ring.slots[idx] = event;
+  std::construct_at(ring.slots + idx, event);
   ring.count.store(idx + 1, std::memory_order_release);
 }
 

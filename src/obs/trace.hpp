@@ -132,9 +132,16 @@ class Tracer {
 
  private:
   struct Ring {
-    explicit Ring(std::size_t capacity, std::uint32_t tid)
-        : slots(capacity), tid(tid) {}
-    std::vector<TraceEvent> slots;
+    /// Allocates the slots without touching them: only slots below
+    /// `count` are ever read, and each is constructed when emitted.
+    explicit Ring(std::size_t capacity)
+        : slots(std::allocator<TraceEvent>{}.allocate(capacity)),
+          capacity(capacity) {}
+    ~Ring() { std::allocator<TraceEvent>{}.deallocate(slots, capacity); }
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+    TraceEvent* const slots;
+    const std::size_t capacity;
     /// Valid slots; the owning thread release-stores after each write.
     std::atomic<std::uint32_t> count{0};
     std::atomic<std::uint64_t> dropped{0};
@@ -149,7 +156,7 @@ class Tracer {
 
   mutable std::mutex registry_mutex_;
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::size_t capacity_ = 1u << 16;
+  std::atomic<std::size_t> capacity_{1u << 16};
 
   friend class ScopedSpan;
 };

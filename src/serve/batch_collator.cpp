@@ -10,12 +10,14 @@ namespace evedge::serve {
 
 namespace {
 
-/// One "queue.wait" span per popped frame: enqueue_tp -> now, the
-/// queue-residency lane of the trace timeline.
-void trace_queue_wait(const ReadyFrame& frame) {
+/// One "queue.wait" span per popped frame: enqueue_tp -> pop, the
+/// queue-residency lane of the trace timeline. The pop stamp stays on
+/// the frame, where the worker's collate.wait span picks it up.
+void trace_queue_wait(ReadyFrame& frame) {
   if (!obs::Tracer::enabled()) return;
+  frame.pop_ns = obs::now_ns();
   obs::Tracer::span("queue", "queue.wait",
-                    obs::to_trace_ns(frame.enqueue_tp), obs::now_ns(),
+                    obs::to_trace_ns(frame.enqueue_tp), frame.pop_ns,
                     "stream", frame.stream_id, "seq", frame.seq);
 }
 
@@ -34,8 +36,6 @@ bool BatchCollator::collect(FrameQueue& queue,
                             std::vector<ReadyFrame>& out,
                             int max_batch_override) {
   out.clear();
-  pop_ns_.clear();
-  const bool tracing = obs::Tracer::enabled();
   const int max_batch =
       max_batch_override > 0 ? max_batch_override : config_.max_batch;
   std::optional<ReadyFrame> first = queue.pop();
@@ -45,23 +45,12 @@ bool BatchCollator::collect(FrameQueue& queue,
       std::chrono::microseconds(
           static_cast<long long>(config_.max_wait_us));
   trace_queue_wait(*first);
-  if (tracing) pop_ns_.push_back(obs::now_ns());
   out.push_back(std::move(*first));
   while (static_cast<int>(out.size()) < max_batch) {
     std::optional<ReadyFrame> next = queue.pop_until(deadline);
     if (!next.has_value()) break;  // deadline, or closed and drained
     trace_queue_wait(*next);
-    if (tracing) pop_ns_.push_back(obs::now_ns());
     out.push_back(std::move(*next));
-  }
-  // "collate.wait" lineage spans: each frame's pop -> batch ready, the
-  // wait a frame pays for the batch to fill behind it.
-  if (tracing && pop_ns_.size() == out.size()) {
-    const std::uint64_t ready_ns = obs::now_ns();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      obs::Tracer::span("queue", "collate.wait", pop_ns_[i], ready_ns,
-                        "stream", out[i].stream_id, "seq", out[i].seq);
-    }
   }
   return true;
 }

@@ -40,10 +40,6 @@ class BatchCollator {
 
  private:
   CollatorConfig config_;
-  /// Per-frame pop timestamps of the batch being collected (tracing
-  /// only) — scratch for the "collate.wait" lineage spans emitted when
-  /// the batch is ready. One worker drives one collator, so no locking.
-  std::vector<std::uint64_t> pop_ns_;
 };
 
 }  // namespace evedge::serve

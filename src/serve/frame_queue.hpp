@@ -47,6 +47,9 @@ struct ReadyFrame {
   /// reported latency span the frame's whole time in the system.
   std::chrono::steady_clock::time_point enqueue_tp{};
   int attempts = 0;  ///< failed inference attempts so far (retry budget)
+  /// Trace stamp of the collator's pop (0 while tracing is off): the end
+  /// of the frame's queue.wait span and the start of its collate.wait.
+  std::uint64_t pop_ns = 0;
 };
 
 enum class OverflowPolicy : std::uint8_t { kBlock, kDropOldest };

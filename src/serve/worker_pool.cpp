@@ -109,9 +109,18 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
   }
   // Lineage anchor: per-frame inference spans start here, before batch
   // prep (tensor adaptation, planner recalibration, precision rung) —
-  // all of it is work the frame waits on.
+  // all of it is work the frame waits on. Each frame's collate.wait
+  // (pop -> here) ends on the same stamp, so queue.wait, collate.wait
+  // and frame.inference tile its latency with no untraced gap.
   const std::uint64_t entry_ns =
       obs::Tracer::enabled() ? obs::now_ns() : 0;
+  if (entry_ns != 0) {
+    for (const ReadyFrame& ready : batch) {
+      if (ready.pop_ns == 0) continue;  // popped while tracing was off
+      obs::Tracer::span("queue", "collate.wait", ready.pop_ns, entry_ns,
+                        "stream", ready.stream_id, "seq", ready.seq);
+    }
+  }
   emit_progress_ = 0;
   const nn::NetworkSpec& spec = net_.spec();
   frames_.clear();

@@ -17,6 +17,7 @@
 #include "nn/exec_plan.hpp"
 #include "nn/zoo.hpp"
 #include "quant/accuracy.hpp"
+#include "quant/calibrate.hpp"
 #include "quant/qnetwork.hpp"
 #include "sparse/sparse_frame.hpp"
 #include "sparse/sparse_ops.hpp"
@@ -104,8 +105,11 @@ struct Probe {
 }
 
 /// A three-deep spiking chain (middle conv strided): the shape the tile
-/// walker streams, with LIF state carried across tile boundaries.
-[[nodiscard]] en::NetworkSpec spiking_chain_spec() {
+/// walker streams, with LIF state carried across tile boundaries. At the
+/// default threshold the tail barely fires on sparse probes; lower
+/// thresholds keep every layer active.
+[[nodiscard]] en::NetworkSpec spiking_chain_spec(
+    float v_threshold = en::LifParams{}.v_threshold) {
   en::NetworkSpec net;
   net.name = "schain3";
   net.n_bins = 1;
@@ -116,6 +120,7 @@ struct Probe {
   s1.name = "s1";
   s1.kind = en::LayerKind::kSpikingConv;
   s1.conv = es::Conv2dSpec{2, 8, 3, 1, 1};
+  s1.lif.v_threshold = v_threshold;
   const int n1 = g.add_layer(s1, {in});
   en::LayerSpec s2 = s1;
   s2.name = "s2";
@@ -810,7 +815,8 @@ TEST(TilePlan, SpikingChainTilesBitwise) {
   }
 }
 
-// The degenerate single-tile plan takes the untiled per-node path and
+// The degenerate single-tile plan walks exactly like a plan with no
+// TilePlan at all (whose sparse nodes the engine chains itself) and
 // reports identical boundary accounting.
 TEST(TilePlan, DegenerateSingleTileIsUntiled) {
   const auto spec = chain_spec();
@@ -860,12 +866,6 @@ TEST(TilePlan, CapacityModelTilesLongChainsUnderTinyBudget) {
   // for tiling to create, however tight the budget.
   const auto lone = all_csr_plan(spec, {1});
   EXPECT_FALSE(en::build_tile_plan(spec, lone, tiny).enabled());
-
-  // Disabling tiling yields the all-degenerate plan regardless of budget.
-  en::TileOptions off;
-  off.l2_budget_bytes = 1;
-  off.enable = false;
-  EXPECT_FALSE(en::build_tile_plan(spec, plan, off).enabled());
 }
 
 // Malformed tile plans are rejected atomically, before any engine state
@@ -957,9 +957,43 @@ TEST(Engine, SpikingChainEmitsSparseSpikes) {
 
   EXPECT_EQ(es::max_abs_diff(routed_out, dense_out), 0.0f);
   const auto steps = static_cast<std::size_t>(spec.timesteps);
-  // s1/s2 emit COO to their sparse consumers; the tail s3 sees a dense
-  // consumer (the output node) and keeps dense spikes — so the chain
-  // crosses the representation boundary only at the event input.
+  // Every member publishes its spikes as COO, so the chain sparsifies
+  // only at the event input; the dense output node densifies the tail's
+  // spikes once per timestep (as in CsrChainCrossesBoundariesOnlyAtEnds).
   EXPECT_EQ(stats.sparsify_boundaries, steps);
-  EXPECT_EQ(stats.densify_boundaries, 0u);
+  EXPECT_EQ(stats.densify_boundaries, steps);
+}
+
+// A member demoted to dense mid-chain (here a quant-simulate node, whose
+// fake-quant twin is a dense oracle) runs the dense case, and the sparse
+// runs on either side of it walk as 1-tile chains — bitwise identical to
+// a plan that routes that node kDense by hand.
+TEST(Engine, DemotedMidChainMemberMatchesHandRoutedDense) {
+  const auto spec = spiking_chain_spec(0.5f);
+  en::FunctionalNetwork net(spec, 5);
+  const auto calib = eq::make_validation_set(spec, 2, 243, 0.05);
+  const auto table = eq::calibrate_activations(net, calib);
+  const eq::PrecisionMap middle_int8{{2, eq::Precision::kInt8}};
+  const eq::QuantPlan quant =
+      eq::build_quant_plan(net, middle_int8, table, /*simulate=*/true);
+  ASSERT_EQ(quant.nodes.size(), 1u);
+  net.set_quant_plan(&quant);
+  const auto probe = make_probe(spec, 245, 0.05);
+
+  const auto tiled = with_forced_tiles(spec, all_csr_plan(spec, {1, 2, 3}), 4);
+  ASSERT_EQ(tiled.tiles.chains.size(), 1u);
+  ASSERT_GT(tiled.tiles.chains[0].tiles, 1);
+  net.set_execution_plan(&tiled);
+  const auto demoted_out = net.run(probe.steps);
+  const auto steps = static_cast<std::size_t>(spec.timesteps);
+  EXPECT_EQ(net.last_exec_stats().sparse_node_runs, 2 * steps);
+
+  const auto hand = with_forced_tiles(spec, all_csr_plan(spec, {1, 3}), 4);
+  net.set_execution_plan(&hand);
+  const auto hand_out = net.run(probe.steps);
+  net.set_execution_plan(nullptr);
+  net.set_quant_plan(nullptr);
+
+  EXPECT_GT(demoted_out.density(), 0.0);
+  EXPECT_EQ(es::max_abs_diff(demoted_out, hand_out), 0.0f);
 }

@@ -801,8 +801,8 @@ TEST(ServeObservability, FrameLineageReconstructsJourney) {
   // One frame's journey must be reconstructable from its (stream, seq)
   // lineage args alone, and the hop durations must tile the measured
   // enqueue -> inference-complete latency: queue.wait + collate.wait +
-  // frame.inference covers the wall up to the (untraced) batch handoff,
-  // so the sum lands within one latency-histogram bucket of the wall.
+  // frame.inference share their boundary stamps, so the sum lands
+  // within one latency-histogram bucket of the wall.
   const en::NetworkSpec spec = en::build_network(
       en::NetworkId::kDotie, en::ZooConfig::test_scale());
   const auto shape =
