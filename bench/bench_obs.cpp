@@ -106,7 +106,8 @@ evedge::obs::Counter* volatile g_labeled_series = nullptr;
 volatile std::uint64_t g_site_sink = 0;
 
 /// ns per disabled labeled-metric site (null cached-series pointer
-/// check — see StreamIngress::attach_dispatch_counter).
+/// check — the per-stream dispatch counter the ingress admission
+/// function bumps, see StreamIngress::attach_dispatch_counter).
 [[nodiscard]] double labeled_site_ns(std::size_t iters) {
   std::uint64_t live = 0;
   const auto t0 = std::chrono::steady_clock::now();

@@ -103,19 +103,27 @@ FrameClock FrameClock::uniform(TimeUs t0, TimeUs period_us,
   return clock;
 }
 
-FrameClock FrameClock::spanning(const EventStream& stream,
+FrameClock FrameClock::spanning(TimeUs t_begin, TimeUs t_end,
                                 double frame_rate_hz) {
-  if (stream.empty()) {
-    throw std::invalid_argument("FrameClock::spanning: empty event stream");
+  if (t_end < t_begin) {
+    throw std::invalid_argument("FrameClock::spanning: t_end < t_begin");
   }
   if (frame_rate_hz <= 0.0) {
     throw std::invalid_argument("FrameClock::spanning: bad frame rate");
   }
   const auto period_us =
       static_cast<TimeUs>(std::llround(1e6 / frame_rate_hz));
-  const auto n_frames = static_cast<std::size_t>(
-      (stream.t_end() - stream.t_begin()) / period_us) + 2;
-  return uniform(stream.t_begin(), period_us, n_frames);
+  const auto n_frames =
+      static_cast<std::size_t>((t_end - t_begin) / period_us) + 2;
+  return uniform(t_begin, period_us, n_frames);
+}
+
+FrameClock FrameClock::spanning(const EventStream& stream,
+                                double frame_rate_hz) {
+  if (stream.empty()) {
+    throw std::invalid_argument("FrameClock::spanning: empty event stream");
+  }
+  return spanning(stream.t_begin(), stream.t_end(), frame_rate_hz);
 }
 
 }  // namespace evedge::events

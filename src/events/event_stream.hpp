@@ -71,13 +71,18 @@ struct FrameClock {
   [[nodiscard]] static FrameClock uniform(TimeUs t0, TimeUs period_us,
                                           std::size_t n_frames);
 
-  /// Uniform clock spanning the whole stream at `frame_rate_hz`
-  /// (period = round(1e6 / rate), padded by one interval so the last
-  /// event falls inside a closed interval). This is THE grayscale
+  /// Uniform clock spanning [t_begin, t_end] at `frame_rate_hz`
+  /// (period = round(1e6 / rate), padded by one interval so an event at
+  /// t_end falls inside a closed interval). This is THE grayscale
   /// camera model shared by the pipeline simulation and the serving
-  /// ingress — one construction, so both frame identically by design.
-  /// Throws std::invalid_argument for an empty stream or a
-  /// non-positive rate.
+  /// ingress (in-process and wire) — one construction, so all frame
+  /// identically by design. Throws std::invalid_argument for
+  /// t_end < t_begin or a non-positive rate.
+  [[nodiscard]] static FrameClock spanning(TimeUs t_begin, TimeUs t_end,
+                                           double frame_rate_hz);
+
+  /// spanning(stream.t_begin(), stream.t_end(), rate); also throws for
+  /// an empty stream.
   [[nodiscard]] static FrameClock spanning(const EventStream& stream,
                                            double frame_rate_hz);
 

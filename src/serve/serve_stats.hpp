@@ -19,7 +19,7 @@
 // it, and the fault-injection soak (bench_serve_soak, test_serve) gates
 // on it.
 //
-// Streams ingested over the wire (wire_ingress) extend the contract
+// Streams ingested over the wire (run_wire) extend the contract
 // with a packet-level partition feeding the frame ledger from below:
 //
 //   wire_packets_seen == wire_packets_accepted + rejected_packets

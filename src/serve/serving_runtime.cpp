@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -108,40 +109,13 @@ ServeReport ServingRuntime::run(
       throw std::invalid_argument("ServingRuntime: empty event stream");
     }
   }
-  std::optional<FaultJournal> journal;
-  if (!config_.journal_path.empty()) {
-    journal.emplace(config_.journal_path);
-  }
-
   FrameQueue queue(config_.queue_capacity, config_.overflow);
-  const bool inject = !config_.faults.empty();
-  FaultInjector injector(config_.faults);
-  std::vector<StreamIngress> ingresses;
-  ingresses.reserve(streams.size());
+  std::deque<StreamIngress> ingresses;  // stable addresses, no moves
   for (std::size_t i = 0; i < streams.size(); ++i) {
     ingresses.emplace_back(static_cast<int>(i), streams[i],
                            config_.ingress, queue);
-    if (inject) ingresses.back().attach_faults(&injector);
-    if (journal.has_value()) ingresses.back().attach_journal(&*journal);
   }
-  if (config_.obs.metrics) {
-    // Per-stream dispatch counters, resolved here where the concrete
-    // ingress type is known; the ingress hot path pays one null check
-    // when metrics are off.
-    obs::LabeledCounter& enq =
-        obs::MetricsRegistry::global().labeled_counter(
-            "evedge_stream_frames_enqueued_total",
-            "Merged frames dispatched by ingress, per stream");
-    for (std::size_t i = 0; i < ingresses.size(); ++i) {
-      ingresses[i].attach_dispatch_counter(
-          &enq.at(obs::LabelSet{{"stream", std::to_string(i)}}));
-    }
-  }
-  std::vector<IngressBase*> bases;
-  bases.reserve(ingresses.size());
-  for (StreamIngress& ingress : ingresses) bases.push_back(&ingress);
-  return serve_ingresses(bases, queue, inject ? &injector : nullptr,
-                         journal.has_value() ? &*journal : nullptr);
+  return serve_ingresses(ingresses, queue, config_.faults);
 }
 
 ServeReport ServingRuntime::run_wire(
@@ -150,43 +124,47 @@ ServeReport ServingRuntime::run_wire(
   if (acceptors.empty()) {
     throw std::invalid_argument("ServingRuntime: no wire acceptors");
   }
-  std::optional<FaultJournal> journal;
-  if (!config_.journal_path.empty()) {
-    journal.emplace(config_.journal_path);
-  }
-
   FrameQueue queue(config_.queue_capacity, config_.overflow);
-  std::vector<WireStreamIngress> ingresses;
-  ingresses.reserve(acceptors.size());
+  std::deque<StreamIngress> ingresses;
   for (std::size_t i = 0; i < acceptors.size(); ++i) {
-    ingresses.emplace_back(static_cast<int>(i), config_.ingress,
-                           wire_config, queue, acceptors[i]);
-    if (journal.has_value()) ingresses.back().attach_journal(&*journal);
+    ingresses.emplace_back(static_cast<int>(i), acceptors[i], wire_config,
+                           config_.ingress, queue);
   }
-  if (config_.obs.metrics) {
-    obs::LabeledCounter& enq =
-        obs::MetricsRegistry::global().labeled_counter(
-            "evedge_stream_frames_enqueued_total",
-            "Merged frames dispatched by ingress, per stream");
-    for (std::size_t i = 0; i < ingresses.size(); ++i) {
-      ingresses[i].attach_dispatch_counter(
-          &enq.at(obs::LabelSet{{"stream", std::to_string(i)}}));
-    }
-  }
-  std::vector<IngressBase*> bases;
-  bases.reserve(ingresses.size());
-  for (WireStreamIngress& ingress : ingresses) bases.push_back(&ingress);
   // Network faults are injected at the transport layer (NetFaultProxy),
-  // not through the stream/worker FaultInjector — no injector here.
-  return serve_ingresses(bases, queue, nullptr,
-                         journal.has_value() ? &*journal : nullptr);
+  // not through the stream/worker FaultInjector — no fault plan here.
+  return serve_ingresses(ingresses, queue, FaultPlan{});
 }
 
 ServeReport ServingRuntime::serve_ingresses(
-    std::span<IngressBase* const> ingresses, FrameQueue& queue,
-    FaultInjector* injector, FaultJournal* journal) {
+    std::deque<StreamIngress>& ingresses, FrameQueue& queue,
+    const FaultPlan& faults) {
   report_ = ServeReport{};
   captured_.clear();
+
+  std::optional<FaultJournal> journal_file;
+  if (!config_.journal_path.empty()) {
+    journal_file.emplace(config_.journal_path);
+  }
+  FaultJournal* const journal =
+      journal_file.has_value() ? &*journal_file : nullptr;
+  FaultInjector injector_state(faults);
+  FaultInjector* const injector = faults.empty() ? nullptr : &injector_state;
+  obs::LabeledCounter* enqueued = nullptr;
+  if (config_.obs.metrics) {
+    // Per-stream dispatch counters, resolved here so the ingress hot
+    // path pays one null check when metrics are off.
+    enqueued = &obs::MetricsRegistry::global().labeled_counter(
+        "evedge_stream_frames_enqueued_total",
+        "Merged frames dispatched by ingress, per stream");
+  }
+  for (std::size_t i = 0; i < ingresses.size(); ++i) {
+    ingresses[i].attach_faults(injector);
+    ingresses[i].attach_journal(journal);
+    if (enqueued != nullptr) {
+      ingresses[i].attach_dispatch_counter(
+          &enqueued->at(obs::LabelSet{{"stream", std::to_string(i)}}));
+    }
+  }
 
   const ObsConfig& obs_config = config_.obs;
   const ScopedTracing tracing_guard(obs_config);
@@ -463,14 +441,14 @@ ServeReport ServingRuntime::serve_ingresses(
   // and every other stream runs to completion.
   std::vector<std::thread> ingress_threads;
   ingress_threads.reserve(ingresses.size());
-  for (IngressBase* ingress : ingresses) {
-    ingress_threads.emplace_back([ingress] {
+  for (StreamIngress& ingress : ingresses) {
+    ingress_threads.emplace_back([&ingress] {
       try {
-        ingress->run();
+        ingress.run();
       } catch (const std::exception& e) {
-        ingress->mark_failed(e.what());
+        ingress.mark_failed(e.what());
       } catch (...) {
-        ingress->mark_failed("unknown ingress failure");
+        ingress.mark_failed("unknown ingress failure");
       }
     });
   }
@@ -516,7 +494,7 @@ ServeReport ServingRuntime::serve_ingresses(
   report_.streams.reserve(ingresses.size());
   std::size_t residual_drops = 0;
   for (std::size_t i = 0; i < ingresses.size(); ++i) {
-    StreamServeStats s = ingresses[i]->stats();
+    StreamServeStats s = ingresses[i].stats();
     const StreamServeStats& done = completion[i];
     s.completed = done.completed;
     s.shed = done.shed;
@@ -544,7 +522,7 @@ ServeReport ServingRuntime::serve_ingresses(
     report_.rejected_packets += s.rejected_packets;
     report_.duplicate_packets += s.duplicate_packets;
     report_.wire_resumes += s.wire_resumes;
-    for (const QuarantinedFrame& q : ingresses[i]->quarantined()) {
+    for (const QuarantinedFrame& q : ingresses[i].quarantined()) {
       report_.quarantined.push_back(q);
     }
     report_.streams.push_back(std::move(s));

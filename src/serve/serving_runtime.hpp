@@ -1,15 +1,16 @@
 #pragma once
 
 // ServingRuntime: the concurrent multi-stream serving subsystem — N
-// independent event streams (cameras) flow through per-stream E2SF/DSFA
-// ingress stages into a bounded FrameQueue, and a pool of inference
-// workers coalesces ready frames ACROSS streams into batched,
-// planner-routed FunctionalNetwork::run_batched calls:
+// independent event streams (cameras) flow through per-stream ingress
+// stages — one E2SF/DSFA core each, fed by an in-process EventStream
+// (run) or a wire session (run_wire) — into a bounded FrameQueue, and a
+// pool of inference workers coalesces ready frames ACROSS streams into
+// batched, planner-routed FunctionalNetwork::run_batched calls:
 //
 //   stream 0 --> StreamIngress ---.
 //   stream 1 --> StreamIngress ---+--> FrameQueue --> ServeWorkerPool
 //   stream N --> StreamIngress ---'     (bounded,      (BatchCollator +
-//                                        block/drop)    net clone each)
+//    (source -> E2SF/DSFA core)          block/drop)    net clone each)
 //
 // Determinism contract: with the drop policy disabled (kBlock), every
 // (stream, seq) output is bitwise identical to per-stream serial batch-1
@@ -31,6 +32,7 @@
 // fault-injection soak gates on.
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -43,7 +45,6 @@
 #include "serve/journal.hpp"
 #include "serve/serve_stats.hpp"
 #include "serve/stream_ingress.hpp"
-#include "serve/wire_ingress.hpp"
 #include "serve/worker_pool.hpp"
 
 namespace evedge::serve {
@@ -126,12 +127,14 @@ class ServingRuntime {
   /// enabled, are valid until the next run().
   ServeReport run(std::span<const events::EventStream> streams);
 
-  /// Serves N wire sessions to completion: one WireStreamIngress per
-  /// acceptor, each accepting (and re-accepting after disconnects) the
-  /// receive side of a hardened wire session, sharing the same queue /
-  /// worker / degradation machinery as run(). The report additionally
-  /// carries the packet-partition lanes (rejected_packets etc.), and
-  /// accounting_ok() checks both invariants.
+  /// Serves N wire sessions to completion: one StreamIngress per
+  /// acceptor whose wire source accepts (and re-accepts after
+  /// disconnects) the receive side of a hardened wire session and feeds
+  /// the same ingress core, queue, workers and degradation machinery as
+  /// run(). The stream/worker FaultPlan does not apply (network faults
+  /// live in NetFaultProxy). The report additionally carries the
+  /// packet-partition lanes (rejected_packets etc.), and accounting_ok()
+  /// checks both invariants.
   ServeReport run_wire(std::span<const TransportAcceptor> acceptors,
                        const WireIngressConfig& wire_config = {});
 
@@ -151,11 +154,13 @@ class ServingRuntime {
 
   /// Per-stream serial reference: the same frames executed batch-1 in
   /// dispatch order, stream after stream, on a single network clone —
-  /// the baseline concurrent serving is measured (and bit-checked)
-  /// against. Runs with the ambient kernel-thread setting (callers pin
-  /// core::set_parallel_threads to compare at equal budgets).
+  /// the baseline concurrent serving (in-process and wire) is measured
+  /// and bit-checked against. Runs with the ambient kernel-thread
+  /// setting (callers pin core::set_parallel_threads to compare at
+  /// equal budgets).
   struct SerialResult {
-    /// outputs[stream][seq], matching StreamIngress::collect_frames.
+    /// outputs[stream][seq]: seq i is the i-th frame the ingress core
+    /// dispatches (StreamIngress::collect_frames).
     std::vector<std::vector<sparse::DenseTensor>> outputs;
     std::size_t frames = 0;
     double wall_ms = 0.0;
@@ -172,21 +177,22 @@ class ServingRuntime {
       std::span<const std::vector<sparse::SparseFrame>> frames_per_stream,
       bool use_planner) const;
 
-  /// Offline ingest of one stream (see StreamIngress::collect_frames).
+  /// Offline ingest of one stream: the ingress core run without queue,
+  /// faults or validation (StreamIngress::collect_frames) — the frames
+  /// run() and run_wire() dispatch, seq for seq.
   [[nodiscard]] static std::vector<sparse::SparseFrame> ingest(
       const events::EventStream& stream, const IngressConfig& config) {
     return StreamIngress::collect_frames(stream, config);
   }
 
  private:
-  /// The shared serving body behind run() and run_wire(): drives the
-  /// given ingresses (one thread each) against the queue and worker
-  /// pool, runs the monitor/degradation machinery, and assembles
-  /// report_. `injector` may be null (no stream/worker fault plan);
-  /// `journal` may be null (journaling off).
-  ServeReport serve_ingresses(std::span<IngressBase* const> ingresses,
-                              FrameQueue& queue, FaultInjector* injector,
-                              FaultJournal* journal);
+  /// The shared serving body behind run() and run_wire(): attaches the
+  /// fault journal (config.journal_path), an injector for `faults`
+  /// (none when empty) and the per-stream dispatch counters, drives the
+  /// ingresses (one thread each) against the queue and worker pool,
+  /// runs the monitor/degradation machinery, and assembles report_.
+  ServeReport serve_ingresses(std::deque<StreamIngress>& ingresses,
+                              FrameQueue& queue, const FaultPlan& faults);
 
   nn::NetworkSpec spec_;
   nn::FunctionalNetwork prototype_;

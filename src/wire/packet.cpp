@@ -104,6 +104,7 @@ const char* to_string(PacketError error) noexcept {
     case PacketError::kBadCrc: return "bad-crc";
     case PacketError::kMalformedEvents: return "malformed-events";
     case PacketError::kUnresolvedGap: return "unresolved-gap";
+    case PacketError::kBadHello: return "bad-hello";
   }
   return "unknown";
 }
@@ -202,7 +203,7 @@ bool decode_hello(std::span<const std::uint8_t> payload,
   out.epoch_us = static_cast<std::int64_t>(get<std::uint64_t>(p + 4));
   out.t_end_us = static_cast<std::int64_t>(get<std::uint64_t>(p + 12));
   out.data_packets = get<std::uint32_t>(p + 20);
-  return true;
+  return out.width > 0 && out.height > 0 && out.t_end_us >= out.epoch_us;
 }
 
 bool decode_u32_payload(std::span<const std::uint8_t> payload,

@@ -76,6 +76,7 @@ enum class PacketError : std::uint8_t {
   kBadCrc,          ///< CRC-32 mismatch (corruption or framing slip)
   kMalformedEvents, ///< payload events out of geometry / non-monotone
   kUnresolvedGap,   ///< buffered out-of-order packet orphaned at stream end
+  kBadHello,        ///< hello payload malformed, zero extent or inverted span
 };
 
 [[nodiscard]] const char* to_string(PacketError error) noexcept;
@@ -148,7 +149,9 @@ void encode_resume(std::uint32_t session_id, std::uint32_t last_sent,
 
 // ----------------------------------------------------------- decoding
 
-/// Parses a hello payload (returns false on a size mismatch).
+/// Parses a hello payload. Returns false on a size mismatch, a zero
+/// width or height, or t_end_us < epoch_us — no framing grid or sensor
+/// geometry can be built from such a header.
 [[nodiscard]] bool decode_hello(std::span<const std::uint8_t> payload,
                                 StreamHeader& out);
 

@@ -305,7 +305,12 @@ void WireReceiver::handle(const Framed& framed, Transport& transport) {
       ++stats_.control_packets;
       if (have_hello_) return;  // idempotent across reconnects
       StreamHeader sh;
-      if (!decode_hello(framed.payload, sh)) return;
+      if (!decode_hello(framed.payload, sh)) {
+        // A control packet: reported, but outside the data partition.
+        // Data then keeps arriving before any hello and is rejected.
+        if (sink_.rejected) sink_.rejected(PacketError::kBadHello);
+        return;
+      }
       stream_header_ = sh;
       session_id_for_ack_ = header.session_id;
       unwrapper_ = std::make_unique<TimestampUnwrapper>(sh.epoch_us);

@@ -25,9 +25,10 @@
 //                   + duplicate_packets
 // where `seen` counts framed data/end-of-stream packets plus framing
 // rejections; control packets (hello, heartbeat, ack, resume) are
-// tallied separately. The partition is exact once the reorder buffer
-// has drained (end of session — orphaned buffered packets are flushed
-// as kUnresolvedGap rejections).
+// tallied separately — a hostile hello is reported to the sink as
+// kBadHello but stays a control packet. The partition is exact once
+// the reorder buffer has drained (end of session — orphaned buffered
+// packets are flushed as kUnresolvedGap rejections).
 
 #include <cstdint>
 #include <functional>

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <optional>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
@@ -291,6 +292,68 @@ TEST(StreamIngress, OfflineCollectIsDeterministicAndMatchesLiveRun) {
     ++drained;
   }
   EXPECT_EQ(drained, frames_a.size());
+}
+
+TEST(StreamIngress, CoreClosesIntervalsIndependentOfBatching) {
+  // The core closes an interval once it has seen an event at or beyond
+  // the interval's right edge (or at end of stream), so the frames it
+  // dispatches must be bitwise those of collect_frames (the whole
+  // stream in one call) however a source batches the events: one event
+  // at a time, seeded random sizes mixing 1-event batches with batches
+  // that straddle several intervals, or the whole stream before the
+  // end-of-stream call.
+  const auto stream = matched_stream(32, 44, 1.0, 400'000, 12);
+  const ev::IngressConfig config = test_ingress();
+  const auto reference = ev::StreamIngress::collect_frames(stream, config);
+  ASSERT_GT(reference.size(), 4u);
+  const std::span<const ee::Event> events = stream.events();
+  const ee::FrameClock clock =
+      ee::FrameClock::spanning(stream, config.frame_rate_hz);
+  const std::size_t per_interval = events.size() / clock.interval_count();
+  ASSERT_GT(per_interval, 8u);
+
+  std::mt19937_64 rng(2024);
+  const auto batch_size = [&](int mode) -> std::size_t {
+    switch (mode) {
+      case 0: return 1;
+      case 1: return events.size();
+      default:
+        switch (rng() % 3) {
+          case 0: return 1;
+          case 1: return 1 + rng() % per_interval;
+          default: return per_interval * (2 + rng() % 3);  // 2-4 edges
+        }
+    }
+  };
+  for (int mode = 0; mode < 6; ++mode) {
+    std::vector<es::SparseFrame> got;
+    ev::IngressCore core(stream.geometry(), clock, config,
+                         [&got](es::SparseFrame frame, double) {
+                           got.push_back(std::move(frame));
+                           return true;
+                         });
+    for (std::size_t pos = 0; pos < events.size();) {
+      const std::size_t n = std::min(batch_size(mode), events.size() - pos);
+      ASSERT_TRUE(core.feed(events.subspan(pos, n), false));
+      pos += n;
+    }
+    ASSERT_TRUE(core.feed({}, true));
+    ASSERT_EQ(got.size(), reference.size()) << "mode " << mode;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const es::SparseFrame& a = got[i];
+      const es::SparseFrame& b = reference[i];
+      EXPECT_EQ(a.t_start, b.t_start) << "mode " << mode << " frame " << i;
+      EXPECT_EQ(a.t_end, b.t_end) << "mode " << mode << " frame " << i;
+      EXPECT_EQ(a.merged_count, b.merged_count);
+      EXPECT_EQ(a.source_events, b.source_events);
+      EXPECT_TRUE(std::ranges::equal(a.positive().entries(),
+                                     b.positive().entries()))
+          << "mode " << mode << " frame " << i;
+      EXPECT_TRUE(std::ranges::equal(a.negative().entries(),
+                                     b.negative().entries()))
+          << "mode " << mode << " frame " << i;
+    }
+  }
 }
 
 // ------------------------------------------- concurrent-vs-serial parity

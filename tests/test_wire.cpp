@@ -120,6 +120,9 @@ ew::WireSendStats pump_session(const ee::EventStream& stream,
     std::unique_ptr<ew::Transport> t = listener.accept(2000ms);
     if (!t) continue;
     const ew::ServeOutcome outcome = receiver.serve(*t);
+    // As the serving runtime does: an eager close with unread inbound
+    // bytes RSTs the link and can discard the final ack in flight.
+    if (outcome == ew::ServeOutcome::kEndOfStream) receiver.linger(*t);
     t->close();
     if (outcome == ew::ServeOutcome::kEndOfStream) break;
   }
@@ -203,6 +206,35 @@ TEST(WirePacket, HelloDataEosRoundTrip) {
   EXPECT_EQ(eos->header.seq, 1u);
   EXPECT_FALSE(framer.next().has_value());
   EXPECT_EQ(framer.buffered(), 0u);
+}
+
+TEST(WirePacket, DecodeHelloRejectsZeroExtentAndInvertedSpan) {
+  ew::StreamHeader good;
+  good.width = 64;
+  good.height = 48;
+  good.epoch_us = 1'000;
+  good.t_end_us = 1'000;  // a one-instant stream is a valid span
+  good.data_packets = 1;
+  const auto decodes = [](const ew::StreamHeader& header) {
+    std::vector<std::uint8_t> bytes;
+    ew::encode_hello(1, header, bytes);
+    ew::PacketFramer framer;
+    framer.feed(bytes.data(), bytes.size());
+    const auto hello = framer.next();
+    EXPECT_TRUE(hello.has_value() && hello->error == ew::PacketError::kNone);
+    ew::StreamHeader out;
+    return hello.has_value() && ew::decode_hello(hello->payload, out);
+  };
+  EXPECT_TRUE(decodes(good));
+  ew::StreamHeader bad = good;
+  bad.width = 0;
+  EXPECT_FALSE(decodes(bad));
+  bad = good;
+  bad.height = 0;
+  EXPECT_FALSE(decodes(bad));
+  bad = good;
+  bad.t_end_us = good.epoch_us - 1;
+  EXPECT_FALSE(decodes(bad));
 }
 
 TEST(WirePacket, EncodeDataRejectsUnencodable) {
@@ -954,4 +986,86 @@ TEST(WireServing, JournalRecordsWireRejections) {
   }
   EXPECT_TRUE(saw_wire_reject);
   std::remove(journal_path.c_str());
+}
+
+namespace {
+
+/// Serves one hand-built wire session through run_wire over an
+/// in-memory transport: a CRC-valid hello carrying `header`, then an
+/// end-of-stream, then the peer closes. Journals to `journal_path`.
+ev::ServeReport serve_hello_then_eos(const ew::StreamHeader& header,
+                                     const std::string& journal_path) {
+  const en::ZooConfig scale{32, 32, 8, 4, 2.0f};
+  ev::ServeConfig config;
+  config.n_workers = 1;
+  config.journal_path = journal_path;
+  ev::ServingRuntime runtime(
+      en::build_network(en::NetworkId::kDotie, scale), 7, config);
+
+  auto [peer, local] = ew::ShmRingTransport::make_pair();
+  std::vector<std::uint8_t> bytes;
+  ew::encode_hello(1, header, bytes);
+  ew::encode_eos(1, 0, header.t_end_us, bytes);
+  EXPECT_TRUE(peer->send(bytes.data(), bytes.size()));
+  peer->close();
+  // The first accept yields the session; every later one times out.
+  auto pending = std::make_shared<std::unique_ptr<ew::Transport>>(
+      std::move(local));
+  const ev::TransportAcceptor acceptor =
+      [pending](std::chrono::milliseconds) { return std::move(*pending); };
+  ev::WireIngressConfig wire_config;
+  wire_config.accept_timeout = 10ms;
+  wire_config.max_session_losses = 1;
+  return runtime.run_wire(std::span<const ev::TransportAcceptor>(&acceptor, 1),
+                          wire_config);
+}
+
+/// The hostile-hello contract: a typed bad-hello rejection in the
+/// journal, the stream failed through the no-hello path (data rejected,
+/// session lost) rather than by an exception, and exact ledgers.
+void expect_typed_hello_rejection(const ew::StreamHeader& header,
+                                  const char* tag) {
+  const std::string journal_path = temp_path(tag);
+  const ev::ServeReport report = serve_hello_then_eos(header, journal_path);
+  EXPECT_TRUE(report.accounting_ok());
+  ASSERT_EQ(report.streams.size(), 1u);
+  const ev::StreamServeStats& s = report.streams[0];
+  EXPECT_TRUE(s.ingress_failed);
+  EXPECT_EQ(s.failure_reason.rfind("wire: ", 0), 0u) << s.failure_reason;
+  EXPECT_EQ(s.enqueued, 0u);
+  EXPECT_EQ(s.wire_packets_seen, 1u);  // the eos; the hello is control
+  EXPECT_EQ(s.rejected_packets, 1u);
+  std::size_t bad_hellos = 0;
+  for (const auto& e : ev::FaultJournal::read(journal_path)) {
+    if (e.kind == "wire-reject" &&
+        e.detail.find("fault=bad-hello") != std::string::npos) {
+      ++bad_hellos;
+    }
+  }
+  EXPECT_EQ(bad_hellos, 1u);
+  std::remove(journal_path.c_str());
+}
+
+ew::StreamHeader valid_header() {
+  ew::StreamHeader header;
+  header.width = 32;
+  header.height = 32;
+  header.epoch_us = 5'000'000;
+  header.t_end_us = 5'100'000;
+  header.data_packets = 1;
+  return header;
+}
+
+}  // namespace
+
+TEST(WireServing, HostileHelloZeroExtentIsATypedRejection) {
+  ew::StreamHeader header = valid_header();
+  header.width = 0;
+  expect_typed_hello_rejection(header, "hello_zero_width");
+}
+
+TEST(WireServing, HostileHelloInvertedSpanIsATypedRejection) {
+  ew::StreamHeader header = valid_header();
+  header.t_end_us = header.epoch_us - 1;
+  expect_typed_hello_rejection(header, "hello_inverted_span");
 }
