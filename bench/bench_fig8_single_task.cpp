@@ -124,7 +124,8 @@ int main() {
         en::build_network(id, options.accuracy_scale), options.seed);
     ec::BatchExecutor executor(fnet);
     // Density-adaptive routing: the first dispatched batch calibrates the
-    // per-layer dense/CSR plan (bitwise-neutral, see exec_plan.hpp).
+    // per-layer dense/CSR plan and density drift re-calibrates it, as in
+    // serving (bitwise-neutral, see exec_plan.hpp).
     executor.enable_execution_planner();
     ec::PipelineConfig full_cfg;
     full_cfg.use_e2sf = true;

@@ -135,7 +135,8 @@ int main() {
     en::FunctionalNetwork fnet(spec, 7);
     ec::BatchExecutor executor(fnet);
     // Dispatched batches route density-adaptively (plan calibrated on
-    // the first batch; outputs stay bitwise identical to dense).
+    // the first batch, re-calibrated on density drift with the serving
+    // defaults; outputs stay bitwise identical to dense).
     executor.enable_execution_planner();
     const auto stream = eb::make_matched_stream(
         spec, ee::DensityProfile::indoor_flying2(), 1'000'000, 5);

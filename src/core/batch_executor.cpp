@@ -95,60 +95,85 @@ BatchExecutor::BatchExecutor(nn::FunctionalNetwork& net) : net_(net) {
   if (needs_image_) image_ = make_reference_image(spec);
 }
 
-BatchExecutor::~BatchExecutor() {
-  // The network outlives the executor (constructor contract), but the
-  // plan dies with us — never leave a dangling plan installed. Only
-  // uninstall if ours is still the active plan (a caller may have
-  // installed its own since).
+BatchExecutor::~BatchExecutor() { reset_plan(); }
+
+void BatchExecutor::enable_execution_planner(
+    const nn::PlannerOptions& options, bool recalibrate_on_drift,
+    double recalibration_band) {
+  if (recalibration_band < 1.0) {
+    throw std::invalid_argument(
+        "BatchExecutor: recalibration band must be >= 1");
+  }
+  planner_enabled_ = true;
+  planner_options_ = options;
+  recalibrate_on_drift_ = recalibrate_on_drift;
+  recalibration_band_ = recalibration_band;
+}
+
+void BatchExecutor::reset_plan() {
+  // The plan dies with us (or is about to be recalibrated) — never
+  // leave it installed. Only uninstall if ours is still the active plan
+  // (a caller may have installed its own, or replaced the network).
   if (plan_ready_ && net_.execution_plan() == &plan_) {
     net_.set_execution_plan(nullptr);
   }
+  plan_ready_ = false;
 }
 
-void BatchExecutor::enable_execution_planner(
-    const nn::PlannerOptions& options) {
-  planner_enabled_ = true;
-  planner_options_ = options;
+const std::vector<DenseTensor>& BatchExecutor::probe() {
+  // calibrate() runs batch-1 inputs; DSFA merges within a density band,
+  // so one sample's densities represent the batch.
+  if (steps_.empty() || steps_.front().shape().n == 1) return steps_;
+  probe_.resize(steps_.size());
+  for (std::size_t t = 0; t < steps_.size(); ++t) {
+    sparse::copy_sample(steps_[t], 0, probe_[t]);
+  }
+  return probe_;
 }
 
-const DenseTensor& BatchExecutor::execute(
-    const std::vector<SparseFrame>& frames) {
-  if (frames.empty()) {
-    throw std::invalid_argument("BatchExecutor::execute: empty batch");
-  }
-  const nn::NetworkSpec& spec = net_.spec();
-  const int batch = static_cast<int>(frames.size());
-  frames_to_event_steps(frames, event_shape_, spec.timesteps, steps_);
+void BatchExecutor::calibrate() {
+  // Uninstall the live plan first so the swap is atomic from the
+  // engine's view.
+  net_.set_execution_plan(nullptr);
+  plan_ = nn::ExecutionPlanner::calibrate(net_, probe(), image(),
+                                          planner_options_);
+  net_.set_execution_plan(&plan_);
+  plan_ready_ = true;
+}
 
-  if (planner_enabled_ && !plan_ready_) {
-    // First dispatched batch = warmup probe. calibrate() runs batch-1
-    // inputs, so probe on sample 0's slice; DSFA merges within a density
-    // band, so one sample's densities represent the batch.
-    if (batch == 1) {
-      plan_ = nn::ExecutionPlanner::calibrate(
-          net_, steps_, needs_image_ ? &image_ : nullptr, planner_options_);
-    } else {
-      std::vector<DenseTensor> probe(steps_.size());
-      for (std::size_t t = 0; t < steps_.size(); ++t) {
-        sparse::copy_sample(steps_[t], 0, probe[t]);
-      }
-      plan_ = nn::ExecutionPlanner::calibrate(
-          net_, probe, needs_image_ ? &image_ : nullptr, planner_options_);
-    }
-    net_.set_execution_plan(&plan_);
-    plan_ready_ = true;
+void BatchExecutor::stage(const std::vector<SparseFrame>& frames) {
+  frames_to_event_steps(frames, event_shape_, net_.spec().timesteps, steps_);
+  if (!planner_enabled_) return;
+  if (!plan_ready_) {
+    calibrate();
+    ++stats_.calibrations;
+  } else if (recalibrate_on_drift_ &&
+             !plan_.density_in_band(steps_.front().density(),
+                                    recalibration_band_)) {
+    // The live density signal: nonzero fraction of the adapted event
+    // tensor, the same post-E2SF quantity calibrate() recorded as
+    // probe_input_density.
+    calibrate();
+    ++stats_.recalibrations;
   }
+}
 
-  const auto t0 = std::chrono::steady_clock::now();
-  last_output_ =
-      net_.run_batched(steps_, needs_image_ ? &image_ : nullptr);
-  const auto t1 = std::chrono::steady_clock::now();
+DenseTensor BatchExecutor::run() {
+  run_start_ = std::chrono::steady_clock::now();
+  DenseTensor out = net_.run_batched(steps_, image());
+  run_end_ = std::chrono::steady_clock::now();
 
   ++stats_.batches;
-  stats_.samples += frames.size();
+  stats_.samples += static_cast<std::size_t>(steps_.front().shape().n);
   stats_.wall_ms +=
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  return last_output_;
+      std::chrono::duration<double, std::milli>(run_end_ - run_start_)
+          .count();
+  return out;
+}
+
+DenseTensor BatchExecutor::execute(const std::vector<SparseFrame>& frames) {
+  stage(frames);
+  return run();
 }
 
 }  // namespace evedge::core

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/batch_executor.hpp"
 #include "nn/kernels.hpp"
 #include "quant/calibrate.hpp"
 #include "quant/quantizer.hpp"
@@ -143,13 +144,7 @@ E2eAccuracyResult evaluate_e2e_accuracy(const nn::NetworkSpec& spec,
   nn::ExecutionPlan exec_plan;
   nn::FunctionalNetwork net(spec, config.weight_seed);
   const bool needs_image = spec.graph.input_ids().size() > 1;
-  DenseTensor image;
-  if (needs_image) {
-    image = DenseTensor(
-        spec.graph.node(spec.graph.input_ids().back()).spec.out_shape);
-    image.fill_random(1234, 0.5f);
-    for (float& v : image.data()) v = std::abs(v);
-  }
+  const DenseTensor image = make_reference_image(spec);
 
   // Pristine weights for restoration after the quantized runs.
   std::vector<int> weight_nodes;

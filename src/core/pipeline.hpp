@@ -35,10 +35,11 @@ struct PipelineConfig {
   /// false in spirit; exposed for the ablation bench.
   bool charge_encode_overhead = false;
   double frame_rate_hz = 30.0;  ///< grayscale (APS) frame clock
-  /// When non-null, every dispatched batch is additionally executed on
-  /// the real batched functional path (FunctionalNetwork::run_batched via
-  /// BatchExecutor); measured wall time lands in the functional_* stats.
-  /// The analytic cost model remains the simulation's timing authority.
+  /// When non-null, every dispatched batch is additionally executed by
+  /// the inference step the serving runtime runs (BatchExecutor: adapt,
+  /// plan, run_batched); measured wall time lands in the functional_*
+  /// stats. The analytic cost model remains the simulation's timing
+  /// authority.
   BatchExecutor* executor = nullptr;
 };
 

@@ -589,44 +589,23 @@ const DenseTensor* ServingRuntime::output(int stream_id,
 ServingRuntime::SerialResult ServingRuntime::run_serial(
     std::span<const std::vector<sparse::SparseFrame>> frames_per_stream,
     bool use_planner) const {
-  const nn::NetworkSpec& spec = prototype_.spec();
   nn::FunctionalNetwork net = prototype_.clone();
-  const sparse::TensorShape event_shape =
-      spec.graph.node(spec.graph.input_ids().front()).spec.out_shape;
-  const bool needs_image = spec.graph.input_ids().size() > 1;
-  const DenseTensor image =
-      needs_image ? core::make_reference_image(spec) : DenseTensor{};
+  core::BatchExecutor step(net);
+  if (use_planner) {
+    step.enable_execution_planner(config_.worker.planner,
+                                  config_.worker.recalibrate_on_drift,
+                                  config_.worker.recalibration_band);
+  }
 
   SerialResult result;
   result.outputs.resize(frames_per_stream.size());
-  nn::ExecutionPlan plan;
-  bool plan_ready = false;
-  std::vector<DenseTensor> steps;
   std::vector<sparse::SparseFrame> one(1);
-
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t s = 0; s < frames_per_stream.size(); ++s) {
     result.outputs[s].reserve(frames_per_stream[s].size());
     for (const sparse::SparseFrame& frame : frames_per_stream[s]) {
       one.front() = frame;
-      core::frames_to_event_steps(one, event_shape, spec.timesteps, steps);
-      if (use_planner) {
-        const bool stale =
-            plan_ready &&
-            config_.worker.recalibrate_on_drift &&
-            !plan.density_in_band(steps.front().density(),
-                                  config_.worker.recalibration_band);
-        if (!plan_ready || stale) {
-          net.set_execution_plan(nullptr);
-          plan = nn::ExecutionPlanner::calibrate(
-              net, steps, needs_image ? &image : nullptr,
-              config_.worker.planner);
-          net.set_execution_plan(&plan);
-          plan_ready = true;
-        }
-      }
-      result.outputs[s].push_back(
-          net.run_batched(steps, needs_image ? &image : nullptr));
+      result.outputs[s].push_back(step.execute(one));
       ++result.frames;
     }
   }

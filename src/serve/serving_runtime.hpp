@@ -153,11 +153,12 @@ class ServingRuntime {
   }
 
   /// Per-stream serial reference: the same frames executed batch-1 in
-  /// dispatch order, stream after stream, on a single network clone —
-  /// the baseline concurrent serving (in-process and wire) is measured
-  /// and bit-checked against. Runs with the ambient kernel-thread
-  /// setting (callers pin core::set_parallel_threads to compare at
-  /// equal budgets).
+  /// dispatch order, stream after stream, on a single network clone
+  /// through the inference step every worker runs (core::BatchExecutor)
+  /// — the baseline concurrent serving (in-process and wire) is
+  /// measured and bit-checked against. Runs with the ambient
+  /// kernel-thread setting (callers pin core::set_parallel_threads to
+  /// compare at equal budgets).
   struct SerialResult {
     /// outputs[stream][seq]: seq i is the i-th frame the ingress core
     /// dispatches (StreamIngress::collect_frames).
@@ -171,8 +172,9 @@ class ServingRuntime {
                  : 0.0;
     }
   };
-  /// `use_planner` mirrors WorkerConfig::use_planner (lazy warmup
-  /// calibration on the first frame, drift re-calibration per frame).
+  /// `use_planner` mirrors WorkerConfig::use_planner; the step then
+  /// calibrates on the first frame and re-calibrates on drift by the
+  /// config's worker rule (recalibrate_on_drift, recalibration_band).
   [[nodiscard]] SerialResult run_serial(
       std::span<const std::vector<sparse::SparseFrame>> frames_per_stream,
       bool use_planner) const;

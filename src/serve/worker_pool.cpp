@@ -16,30 +16,14 @@
 namespace evedge::serve {
 
 using sparse::DenseTensor;
-using sparse::TensorShape;
-
-namespace {
-
-/// Batch-1 probe copies of sample 0 (the planner calibrates on batch-1
-/// inputs; DSFA merges within a density band, so one sample's densities
-/// represent the batch — the BatchExecutor warmup convention).
-[[nodiscard]] std::vector<DenseTensor> probe_of_sample0(
-    const std::vector<DenseTensor>& steps) {
-  std::vector<DenseTensor> probe(steps.size());
-  for (std::size_t t = 0; t < steps.size(); ++t) {
-    sparse::copy_sample(steps[t], 0, probe[t]);
-  }
-  return probe;
-}
-
-}  // namespace
 
 ServeWorker::ServeWorker(int worker_id,
                          const nn::FunctionalNetwork& prototype,
                          WorkerConfig config)
     : config_(std::move(config)),
       prototype_(&prototype),
-      net_(prototype.clone()) {
+      net_(prototype.clone()),
+      step_(net_) {
   if (config_.recalibration_band < 1.0) {
     throw std::invalid_argument(
         "ServeWorker: recalibration band must be >= 1");
@@ -47,30 +31,17 @@ ServeWorker::ServeWorker(int worker_id,
   if (config_.max_retries < 0) {
     throw std::invalid_argument("ServeWorker: max_retries must be >= 0");
   }
-  const nn::NetworkSpec& spec = net_.spec();
-  const auto input_ids = spec.graph.input_ids();
-  event_shape_ = spec.graph.node(input_ids.front()).spec.out_shape;
-  needs_image_ = input_ids.size() > 1;
-  if (needs_image_) image_ = core::make_reference_image(spec);
+  if (config_.use_planner) {
+    step_.enable_execution_planner(config_.planner,
+                                   config_.recalibrate_on_drift,
+                                   config_.recalibration_band);
+  }
   stats_.worker_id = worker_id;
   if (config_.profile_layers || config_.trace_nodes) {
-    profiler_ =
-        std::make_unique<obs::LayerProfiler>(spec, config_.trace_nodes);
+    profiler_ = std::make_unique<obs::LayerProfiler>(net_.spec(),
+                                                     config_.trace_nodes);
     net_.set_exec_observer(profiler_.get());
   }
-}
-
-void ServeWorker::calibrate_from(const std::vector<DenseTensor>& steps) {
-  const std::vector<DenseTensor> probe = probe_of_sample0(steps);
-  // Calibration runs dense warmup probes through a hook; uninstall the
-  // live plan first so the swap is atomic from the engine's view.
-  net_.set_execution_plan(nullptr);
-  plan_ = nn::ExecutionPlanner::calibrate(
-      net_, probe, needs_image_ ? &image_ : nullptr, config_.planner);
-  net_.set_execution_plan(&plan_);
-  plan_ready_ = true;
-  stats_.plan_sparse_nodes = plan_.sparse_node_count();
-  stats_.plan_probe_density = plan_.probe_input_density;
 }
 
 void ServeWorker::apply_precision_rung(bool want_int8) {
@@ -80,8 +51,8 @@ void ServeWorker::apply_precision_rung(bool want_int8) {
       // calibration set — the same "the live traffic is the probe"
       // convention the planner warmup uses.
       quant::ValidationSample sample;
-      sample.event_steps = probe_of_sample0(steps_);
-      if (needs_image_) sample.image = image_;
+      sample.event_steps = step_.probe();
+      if (step_.image() != nullptr) sample.image = *step_.image();
       const nn::ExecutionPlan* prev = net_.set_execution_plan(nullptr);
       const quant::CalibrationTable table = quant::calibrate_activations(
           net_, std::span<const quant::ValidationSample>(&sample, 1));
@@ -122,35 +93,22 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
     }
   }
   emit_progress_ = 0;
-  const nn::NetworkSpec& spec = net_.spec();
   frames_.clear();
   frames_.reserve(batch.size());
   for (const ReadyFrame& ready : batch) frames_.push_back(ready.frame);
-  core::frames_to_event_steps(frames_, event_shape_, spec.timesteps, steps_);
-
-  if (config_.use_planner) {
-    if (!plan_ready_) {
-      calibrate_from(steps_);
-      ++stats_.calibrations;
-    } else if (config_.recalibrate_on_drift) {
-      // The live density signal: nonzero fraction of the adapted event
-      // tensor, the same post-E2SF quantity calibrate() recorded as
-      // probe_input_density (DSFA's recent_density() EMA rides along in
-      // ReadyFrame::ingress_density for sensor-scale telemetry).
-      const double live_density = steps_.front().density();
-      if (!plan_.density_in_band(live_density,
-                                 config_.recalibration_band)) {
-        calibrate_from(steps_);
-        ++stats_.recalibrations;
-      }
-    }
+  step_.stage(frames_);
+  const core::BatchExecutorStats& step_stats = step_.stats();
+  stats_.calibrations = step_stats.calibrations;
+  stats_.recalibrations = step_stats.recalibrations;
+  if (const nn::ExecutionPlan* plan = step_.execution_plan()) {
+    stats_.plan_sparse_nodes = plan->sparse_node_count();
+    stats_.plan_probe_density = plan->probe_input_density;
   }
   apply_precision_rung(want_int8_);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const DenseTensor out =
-      net_.run_batched(steps_, needs_image_ ? &image_ : nullptr);
-  const auto t1 = std::chrono::steady_clock::now();
+  const DenseTensor out = step_.run();
+  const auto t0 = step_.last_run_start();
+  const auto t1 = step_.last_run_end();
   obs::Tracer::span("worker", "inference", obs::to_trace_ns(t0),
                     obs::to_trace_ns(t1), "worker", stats_.worker_id,
                     "batch", static_cast<std::int64_t>(batch.size()));
@@ -178,14 +136,6 @@ void ServeWorker::process_batch(const std::vector<ReadyFrame>& batch,
             t1 - batch[n].enqueue_tp).count();
     sink(batch[n], out, static_cast<int>(n), latency_us);
     ++emit_progress_;
-  }
-}
-
-void ServeWorker::serve(FrameQueue& queue, const ResultSink& sink) {
-  BatchCollator collator(config_.collator);
-  std::vector<ReadyFrame> batch;
-  while (collator.collect(queue, batch)) {
-    process_batch(batch, sink);
   }
 }
 
@@ -221,7 +171,7 @@ void ServeWorker::restart() {
   // clone() carries no observer — re-attach the profiler so per-layer
   // accounting continues across the restart.
   if (profiler_ != nullptr) net_.set_exec_observer(profiler_.get());
-  plan_ready_ = false;
+  step_.reset_plan();
   quant_ready_ = false;
   quant_installed_ = false;
   ++stats_.restarts;
@@ -331,9 +281,7 @@ ServeWorkerPool::ServeWorkerPool(const nn::FunctionalNetwork& prototype,
   }
 }
 
-template <typename ServeFn>
-void ServeWorkerPool::run_threads(FrameQueue& queue,
-                                  const ServeFn& serve_one) {
+void ServeWorkerPool::run(FrameQueue& queue, const ServeHooks& hooks) {
   // A throw on a worker thread must not std::terminate the process:
   // the first exception wins, the queue is closed so every sibling
   // drains out, and the error is rethrown on the joining thread
@@ -344,10 +292,10 @@ void ServeWorkerPool::run_threads(FrameQueue& queue,
   std::vector<std::thread> threads;
   threads.reserve(workers_.size());
   for (const std::unique_ptr<ServeWorker>& worker : workers_) {
-    threads.emplace_back([&queue, &serve_one, &error, &error_mutex,
+    threads.emplace_back([&queue, &hooks, &error, &error_mutex,
                           w = worker.get()] {
       try {
-        serve_one(*w);
+        w->serve(queue, hooks);
       } catch (...) {
         {
           const std::lock_guard<std::mutex> lock(error_mutex);
@@ -359,18 +307,6 @@ void ServeWorkerPool::run_threads(FrameQueue& queue,
   }
   for (std::thread& t : threads) t.join();
   if (error) std::rethrow_exception(error);
-}
-
-void ServeWorkerPool::run(FrameQueue& queue, const ResultSink& sink) {
-  run_threads(queue, [&queue, &sink](ServeWorker& w) {
-    w.serve(queue, sink);
-  });
-}
-
-void ServeWorkerPool::run(FrameQueue& queue, const ServeHooks& hooks) {
-  run_threads(queue, [&queue, &hooks](ServeWorker& w) {
-    w.serve(queue, hooks);
-  });
 }
 
 }  // namespace evedge::serve

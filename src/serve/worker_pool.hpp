@@ -3,24 +3,19 @@
 // ServeWorkerPool: the inference back half of the serving runtime. Each
 // worker owns a full FunctionalNetwork clone (identical weights, private
 // Workspace — the one-Workspace-per-worker contract that makes workers
-// mutually invisible), its own BatchCollator and, when planning is on,
-// its own density-adaptive ExecutionPlan:
+// mutually invisible), its own BatchCollator and its own inference step
+// (core::BatchExecutor), which adapts each collated batch, owns the
+// worker's density-adaptive ExecutionPlan (lazy warmup calibration on
+// the first batch's sample 0, drift re-calibration when the live input
+// density leaves the plan's band) and runs it through run_batched.
 //
-//  - lazy warmup calibration: the worker's first collated batch doubles
-//    as the planner probe (sample 0), mirroring BatchExecutor;
-//  - drift re-calibration: every batch's live input density (nonzero
-//    fraction of the adapted event tensor, the post-E2SF quantity the
-//    planner calibrated on) is checked against the plan's calibration
-//    band; when the scene density drifts outside it, the worker re-runs
-//    calibration on the current batch and swaps routes in place.
-//
-// Supervision (the hooks-based serve path): a batch that throws does
-// not kill the worker thread. The worker restarts itself on a fresh
-// prototype clone, returns the batch's unemitted frames to the queue
-// front with an incremented attempt count, and sleeps an exponential
-// backoff before collating again. Frames whose attempt count exceeds
-// the retry budget are quarantined through the failure hook instead of
-// retried, so a deterministic poison frame cannot live-lock the pool.
+// Supervision: a batch that throws does not kill the worker thread.
+// The worker restarts itself on a fresh prototype clone, returns the
+// batch's unemitted frames to the queue front with an incremented
+// attempt count, and sleeps an exponential backoff before collating
+// again. Frames whose attempt count exceeds the retry budget are
+// quarantined through the failure hook instead of retried, so a
+// deterministic poison frame cannot live-lock the pool.
 // The degradation ladder (degrade.hpp) is read per batch: rung 2 widens
 // collated batches, rung 3 serves on a lazily calibrated uniform-int8
 // QuantPlan; stepping back down restores FP32 bitwise.
@@ -36,6 +31,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/batch_executor.hpp"
 #include "nn/engine.hpp"
 #include "nn/exec_plan.hpp"
 #include "obs/profile.hpp"
@@ -90,7 +86,7 @@ using ResultSink = std::function<void(
 /// ResultSink.
 using FailureSink = std::function<void(const QuarantinedFrame&)>;
 
-/// Everything the supervised serve loop plugs into. `result` is
+/// Everything the serve loop plugs into. `result` is
 /// required; the rest are optional (nullptr / empty = feature off).
 struct ServeHooks {
   ResultSink result;
@@ -109,20 +105,16 @@ class ServeWorker {
   ServeWorker(int worker_id, const nn::FunctionalNetwork& prototype,
               WorkerConfig config);
 
-  /// Runs one collated batch through run_batched and emits every frame's
-  /// result to `sink`. Handles planner warmup/drift calibration. Throws
-  /// propagate to the caller (the supervised serve loop catches them).
+  /// Runs one collated batch through the inference step and emits every
+  /// frame's result to `sink`. Throws propagate to the caller (the serve
+  /// loop catches them).
   void process_batch(const std::vector<ReadyFrame>& batch,
                      const ResultSink& sink);
 
-  /// Unsupervised collation + inference loop until `queue` closes and
-  /// drains; the first exception aborts the worker (legacy path, kept
-  /// for direct embedding and tests).
-  void serve(FrameQueue& queue, const ResultSink& sink);
-
-  /// Supervised loop: SLO shedding, fault injection, per-batch failure
-  /// recovery with restart/retry/backoff, degradation-ladder response.
-  /// Never throws for a batch failure; only unrecoverable errors (e.g.
+  /// Collation + inference loop until `queue` closes and drains, with
+  /// SLO shedding, fault injection, per-batch failure recovery
+  /// (restart/retry/backoff) and degradation-ladder response. Never
+  /// throws for a batch failure; only unrecoverable errors (e.g.
   /// failing to clone a fresh network) escape.
   void serve(FrameQueue& queue, const ServeHooks& hooks);
 
@@ -136,7 +128,7 @@ class ServeWorker {
   }
   /// The worker's live plan (nullptr before warmup or with planning off).
   [[nodiscard]] const nn::ExecutionPlan* plan() const noexcept {
-    return plan_ready_ ? &plan_ : nullptr;
+    return step_.execution_plan();
   }
   /// Whether the int8 degradation rung is currently installed.
   [[nodiscard]] bool int8_active() const noexcept {
@@ -149,7 +141,6 @@ class ServeWorker {
   }
 
  private:
-  void calibrate_from(const std::vector<sparse::DenseTensor>& steps);
   void apply_precision_rung(bool want_int8);
   /// Shed frames older than the deadline out of `batch` via the failure
   /// hook; returns the number shed.
@@ -164,13 +155,8 @@ class ServeWorker {
   WorkerConfig config_;
   const nn::FunctionalNetwork* prototype_;
   nn::FunctionalNetwork net_;
-  sparse::TensorShape event_shape_;  ///< per-timestep event input (n = 1)
-  bool needs_image_ = false;
-  sparse::DenseTensor image_;
-  std::vector<sparse::DenseTensor> steps_;  ///< reused staging tensors
+  core::BatchExecutor step_;  ///< runs on net_; owns the plan
   std::vector<sparse::SparseFrame> frames_;  ///< reused adaptation view
-  bool plan_ready_ = false;
-  nn::ExecutionPlan plan_;
   // Int8 rung state: the plan is calibrated lazily from the first batch
   // served at rung 3 and cached; install/uninstall tracks the ladder.
   bool quant_ready_ = false;
@@ -192,14 +178,11 @@ class ServeWorkerPool {
   ServeWorkerPool(const nn::FunctionalNetwork& prototype, int n_workers,
                   const WorkerConfig& config);
 
-  /// Serves `queue` on one thread per worker until it closes and drains;
-  /// blocks until every worker exits. `sink` must be thread-safe.
-  /// Unsupervised: a worker exception closes the queue and rethrows.
-  void run(FrameQueue& queue, const ResultSink& sink);
-
-  /// Supervised serving (ServeWorker::serve(queue, hooks) per thread).
-  /// Batch failures are absorbed by the workers; only unrecoverable
-  /// errors close the queue and rethrow after all joins.
+  /// Serves `queue` on one thread per worker (ServeWorker::serve) until
+  /// it closes and drains; blocks until every worker exits. Batch
+  /// failures are absorbed by the workers; only unrecoverable errors
+  /// close the queue and rethrow after all joins. `hooks` must be
+  /// thread-safe.
   void run(FrameQueue& queue, const ServeHooks& hooks);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
@@ -208,9 +191,6 @@ class ServeWorkerPool {
   }
 
  private:
-  template <typename ServeFn>
-  void run_threads(FrameQueue& queue, const ServeFn& serve_one);
-
   std::vector<std::unique_ptr<ServeWorker>> workers_;
 };
 

@@ -50,13 +50,14 @@ namespace {
 /// Event stream matched to a network-input geometry (serving tests run
 /// the functional nets at test scale, so the sensor matches the input).
 ee::EventStream matched_stream(int h, int w, double rate_scale,
-                               ee::TimeUs duration, std::uint64_t seed) {
+                               ee::TimeUs duration, std::uint64_t seed,
+                               std::vector<ee::Burst> bursts = {}) {
   ee::SynthConfig cfg;
   cfg.geometry = ee::SensorGeometry{w, h};
   cfg.seed = seed;
   cfg.blob_count = 3;
-  ee::DensityProfile profile("test", 40.0 * rate_scale, {}, 10.0 * rate_scale,
-                             0.4);
+  ee::DensityProfile profile("test", 40.0 * rate_scale, std::move(bursts),
+                             10.0 * rate_scale, 0.4);
   return ee::PoissonEventSynthesizer(profile, cfg).generate(0, duration);
 }
 
@@ -362,7 +363,8 @@ namespace {
 
 /// Runs the full parity contract on one network: concurrent serving
 /// (block policy, capture on) must produce bitwise-identical outputs to
-/// per-stream serial batch-1 execution, for every (stream, seq).
+/// per-stream serial batch-1 execution, for every (stream, seq) — also
+/// across the plan re-calibrations a mid-stream scene change causes.
 void expect_serving_parity(en::NetworkId id, bool planner) {
   const en::NetworkSpec spec =
       en::build_network(id, en::ZooConfig::test_scale());
@@ -374,6 +376,11 @@ void expect_serving_parity(en::NetworkId id, bool planner) {
     streams.push_back(matched_stream(shape.h, shape.w, 1.0 + 0.5 * s,
                                      300'000, 21 + s));
   }
+  // Scene change: a burst that fades to near silence and outlasts the
+  // other streams, so its quiet tail is served alone at a density far
+  // below the planner's 4x band and plans must re-calibrate.
+  streams.push_back(matched_stream(shape.h, shape.w, 0.03, 600'000, 24,
+                                   {ee::Burst{0.1, 0.08, 60.0}}));
 
   ev::ServeConfig config;
   config.ingress = test_ingress();
@@ -386,6 +393,13 @@ void expect_serving_parity(en::NetworkId id, bool planner) {
   const ev::ServeReport report = runtime.run(streams);
   EXPECT_EQ(report.frames_dropped, 0u);
   ASSERT_EQ(report.streams.size(), streams.size());
+  if (planner) {
+    std::size_t recalibrations = 0;
+    for (const ev::WorkerServeStats& w : report.workers) {
+      recalibrations += w.recalibrations;
+    }
+    EXPECT_GT(recalibrations, 0u);
+  }
 
   std::vector<std::vector<es::SparseFrame>> frames;
   for (const ee::EventStream& stream : streams) {
