@@ -21,6 +21,7 @@
 
 namespace es = evedge::sparse;
 namespace en = evedge::nn;
+namespace eb = evedge::bench;
 using evedge::bench::time_best_ms;
 
 namespace {
@@ -208,29 +209,12 @@ Result bench_sparse_csr(const std::string& label, int h, int w,
   return r;
 }
 
-[[nodiscard]] bool write_json(const std::vector<Result>& results,
-                              const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"threads\": %d,\n  \"results\": [\n",
-               evedge::core::parallel_thread_count());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"shape\": \"%s\", "
-                 "\"density\": %.4f, \"ref_ms\": %.4f, \"fast_ms\": %.4f, "
-                 "\"speedup\": %.2f, \"max_abs_diff\": %.3g}%s\n",
-                 r.kernel.c_str(), r.shape.c_str(), r.density, r.ref_ms,
-                 r.fast_ms, r.speedup(), r.max_abs_diff,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return true;
+[[nodiscard]] eb::BenchRecord to_record(const Result& r) {
+  return {{eb::jstr("kernel", r.kernel), eb::jstr("shape", r.shape),
+           eb::jnum("density", r.density)},
+          {eb::jnum("speedup", r.speedup(), "%.2f")},
+          {eb::jnum("ref_ms", r.ref_ms), eb::jnum("fast_ms", r.fast_ms),
+           eb::jnum("max_abs_diff", r.max_abs_diff, "%.3g")}};
 }
 
 }  // namespace
@@ -289,7 +273,10 @@ int main(int argc, char** argv) {
                                   0.02, mode, 3, 9));
   }
 
-  const bool wrote = write_json(results, out_path);
+  std::vector<eb::BenchRecord> records;
+  for (const Result& r : results) records.push_back(to_record(r));
+  const bool wrote = eb::write_bench_json(
+      out_path, evedge::core::parallel_thread_count(), {}, records);
 
   // Exit non-zero if any fast path diverged from the reference: the bench
   // doubles as a cheap numerical smoke test in CI.

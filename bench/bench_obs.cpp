@@ -14,8 +14,8 @@
 // plus the direct measurement: serve fps with full observability on
 // (tracing + per-node spans + metrics) over fps with everything off.
 //
-// CI gates the machine-invariant same-run ratios (BENCH_obs.json,
-// "obs" schema in check_bench_regression.py):
+// CI gates these machine-invariant same-run ratios (BENCH_obs.json,
+// through check_bench_regression.py):
 //
 //   disabled_site   steady_clock read cost / disabled-site cost — the
 //                   site must stay an order cheaper than a clock read
@@ -27,22 +27,18 @@
 //   serve_on        serve fps (full obs on) / serve fps (obs off) —
 //                   the price of turning everything on
 //
-// Usage: bench_obs [output.json] [--json]
-//
-// --json: machine-readable mode — the JSON document is ALSO written to
-// stdout (exactly one document, parse with any JSON reader) and the
-// human tables move to stderr. The output file is still written.
+// Usage: bench_obs [output.json]
 
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
+#include "bench_common.hpp"
 #include "events/density_profile.hpp"
 #include "events/event_synth.hpp"
 #include "nn/zoo.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/serving_runtime.hpp"
 
@@ -51,6 +47,7 @@ namespace en = evedge::nn;
 namespace es = evedge::sparse;
 namespace ev = evedge::serve;
 namespace obs = evedge::obs;
+namespace eb = evedge::bench;
 
 namespace {
 
@@ -65,10 +62,6 @@ constexpr double kOffBudgetPct = 2.0;  ///< tracing-off overhead ceiling
 /// null check. 8 is deliberately ~2x the real count, so the gate holds
 /// margin for future sites.
 constexpr double kLabeledSitesPerFrame = 8.0;
-
-/// Human tables land here: stdout normally, stderr under --json (stdout
-/// then carries exactly one JSON document).
-std::FILE* g_table = stdout;
 
 [[nodiscard]] ee::EventStream make_stream(int h, int w, std::uint64_t seed) {
   ee::SynthConfig cfg;
@@ -151,16 +144,7 @@ struct ObsRecord {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_obs.json";
-  bool json_stdout = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      json_stdout = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (json_stdout) g_table = stderr;
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_obs.json";
   std::vector<ObsRecord> records;
   bool ok = true;
 
@@ -170,10 +154,9 @@ int main(int argc, char** argv) {
   const double site_ns = disabled_site_ns(kIters);
   const double clock_ns = clock_read_ns(kIters / 4);
   const double site_vs_clock = site_ns > 0.0 ? clock_ns / site_ns : 1e9;
-  std::fprintf(g_table,
-               "disabled site: %.2f ns/call, steady_clock read: %.2f ns "
-               "(site is %.1fx cheaper)\n",
-               site_ns, clock_ns, site_vs_clock);
+  std::printf("disabled site: %.2f ns/call, steady_clock read: %.2f ns "
+              "(site is %.1fx cheaper)\n",
+              site_ns, clock_ns, site_vs_clock);
   records.push_back(ObsRecord{
       "disabled_site", "", 0, site_vs_clock,
       "clock_ns / disabled_site_ns, both same-run microbenches"});
@@ -181,10 +164,9 @@ int main(int argc, char** argv) {
   (void)labeled_site_ns(kIters / 16);  // warmup
   const double lsite_ns = labeled_site_ns(kIters);
   const double lsite_vs_clock = lsite_ns > 0.0 ? clock_ns / lsite_ns : 1e9;
-  std::fprintf(g_table,
-               "labeled site: %.2f ns/call (null series-pointer check, "
-               "%.1fx cheaper than a clock read)\n",
-               lsite_ns, lsite_vs_clock);
+  std::printf("labeled site: %.2f ns/call (null series-pointer check, "
+              "%.1fx cheaper than a clock read)\n",
+              lsite_ns, lsite_vs_clock);
   records.push_back(ObsRecord{
       "labeled_site", "", 0, lsite_vs_clock,
       "clock_ns / labeled_site_ns, both same-run microbenches"});
@@ -239,10 +221,9 @@ int main(int argc, char** argv) {
   const double serve_off_ratio =
       fps_serial > 0.0 ? fps_off / fps_serial : 0.0;
   const double serve_on_ratio = fps_off > 0.0 ? fps_on / fps_off : 0.0;
-  std::fprintf(g_table,
-               "serve: serial %.1f fps, obs-off %.1f fps, obs-on %.1f fps "
-               "(on/off %.3f)\n",
-               fps_serial, fps_off, fps_on, serve_on_ratio);
+  std::printf("serve: serial %.1f fps, obs-off %.1f fps, obs-on %.1f fps "
+              "(on/off %.3f)\n",
+              fps_serial, fps_off, fps_on, serve_on_ratio);
   records.push_back(ObsRecord{"serve_off", spec.name, kStreams,
                               serve_off_ratio,
                               "serve fps (obs off) / serial planned fps"});
@@ -260,8 +241,7 @@ int main(int argc, char** argv) {
       fps_off > 0.0 ? 1e9 / fps_off : 1e18;
   const double off_overhead_pct =
       100.0 * events_per_frame * site_ns / frame_time_ns;
-  std::fprintf(
-      g_table,
+  std::printf(
       "events/frame %.1f (%zu events, %llu dropped), frame time "
       "%.2f ms -> tracing-off overhead %.4f%% (budget %.1f%%)\n",
       events_per_frame, events.size(),
@@ -276,11 +256,10 @@ int main(int argc, char** argv) {
   }
   const double labeled_off_pct =
       100.0 * kLabeledSitesPerFrame * lsite_ns / frame_time_ns;
-  std::fprintf(g_table,
-               "labeled sites/frame %.0f x %.2f ns -> metrics-off "
-               "overhead %.4f%% (budget %.1f%%)\n",
-               kLabeledSitesPerFrame, lsite_ns, labeled_off_pct,
-               kOffBudgetPct);
+  std::printf("labeled sites/frame %.0f x %.2f ns -> metrics-off "
+              "overhead %.4f%% (budget %.1f%%)\n",
+              kLabeledSitesPerFrame, lsite_ns, labeled_off_pct,
+              kOffBudgetPct);
   if (labeled_off_pct >= kOffBudgetPct) {
     std::fprintf(stderr,
                  "OBS GATE FAILED: disabled labeled metrics cost "
@@ -307,37 +286,25 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  const auto write_json_to = [&](std::FILE* f) {
-    std::fprintf(f,
-                 "{\n  \"threads\": %d,\n  \"scale\": \"96x128 base16, "
-                 "%d streams, worker budget %d\",\n"
-                 "  \"disabled_site_ns\": %.3f,\n"
-                 "  \"labeled_site_ns\": %.3f,\n"
-                 "  \"events_per_frame\": %.2f,\n"
-                 "  \"tracing_off_overhead_pct\": %.5f,\n"
-                 "  \"labeled_off_overhead_pct\": %.5f,\n"
-                 "  \"results\": [\n",
-                 kWorkers, kStreams, kWorkers, site_ns, lsite_ns,
-                 events_per_frame, off_overhead_pct, labeled_off_pct);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const ObsRecord& r = records[i];
-      std::fprintf(
-          f,
-          "    {\"obs\": \"%s\", \"network\": \"%s\", "
-          "\"streams\": %d, \"ratio\": %.4f, \"detail\": \"%s\"}%s\n",
-          r.probe.c_str(), r.network.c_str(), r.streams, r.ratio,
-          r.detail.c_str(), i + 1 < records.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-  };
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
+  std::vector<eb::BenchRecord> out;
+  for (const ObsRecord& r : records) {
+    out.push_back({{eb::jstr("obs", r.probe), eb::jstr("network", r.network),
+                    eb::jint("streams", r.streams)},
+                   {eb::jnum("ratio", r.ratio)},
+                   {eb::jstr("detail", r.detail)}});
+  }
+  if (!eb::write_bench_json(
+          out_path, kWorkers,
+          {eb::jstr("scale", "96x128 base16, " + std::to_string(kStreams) +
+                                 " streams, worker budget " +
+                                 std::to_string(kWorkers)),
+           eb::jnum("disabled_site_ns", site_ns, "%.3f"),
+           eb::jnum("labeled_site_ns", lsite_ns, "%.3f"),
+           eb::jnum("events_per_frame", events_per_frame, "%.2f"),
+           eb::jnum("tracing_off_overhead_pct", off_overhead_pct, "%.5f"),
+           eb::jnum("labeled_off_overhead_pct", labeled_off_pct, "%.5f")},
+          out)) {
     return 1;
   }
-  write_json_to(f);
-  std::fclose(f);
-  std::fprintf(g_table, "wrote %s\n", out_path.c_str());
-  if (json_stdout) write_json_to(stdout);
   return ok ? 0 : 1;
 }

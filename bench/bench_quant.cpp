@@ -20,7 +20,6 @@
 #include "core/parallel.hpp"
 #include "nn/kernels.hpp"
 #include "quant/int8_kernels.hpp"
-#include "quant/qnetwork.hpp"
 #include "quant/quantizer.hpp"
 #include "sparse/sparse_ops.hpp"
 #include "sparse/tensor.hpp"
@@ -28,6 +27,7 @@
 namespace eq = evedge::quant;
 namespace en = evedge::nn;
 namespace es = evedge::sparse;
+namespace eb = evedge::bench;
 using evedge::bench::time_best_ms;
 
 namespace {
@@ -217,30 +217,13 @@ Result bench_fc(const std::string& label, const es::TensorShape& in,
   return r;
 }
 
-[[nodiscard]] bool write_json(const std::vector<Result>& results,
-                              const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"threads\": %d,\n  \"results\": [\n",
-               evedge::core::parallel_thread_count());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"shape\": \"%s\", "
-                 "\"density\": %.4f, \"ref_ms\": %.4f, \"fast_ms\": %.4f, "
-                 "\"speedup\": %.2f, \"max_abs_diff\": %.3g, "
-                 "\"quant_step\": %.3g}%s\n",
-                 r.kernel.c_str(), r.shape.c_str(), r.density, r.ref_ms,
-                 r.fast_ms, r.speedup(), r.max_abs_diff, r.step,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return true;
+[[nodiscard]] eb::BenchRecord to_record(const Result& r) {
+  return {{eb::jstr("kernel", r.kernel), eb::jstr("shape", r.shape),
+           eb::jnum("density", r.density)},
+          {eb::jnum("speedup", r.speedup(), "%.2f")},
+          {eb::jnum("ref_ms", r.ref_ms), eb::jnum("fast_ms", r.fast_ms),
+           eb::jnum("max_abs_diff", r.max_abs_diff, "%.3g"),
+           eb::jnum("quant_step", r.step, "%.3g")}};
 }
 
 }  // namespace
@@ -286,7 +269,10 @@ int main(int argc, char** argv) {
   report(bench_fc("64x16x22 -> 128", es::TensorShape{1, 64, 16, 22}, 128,
                   9));
 
-  const bool wrote = write_json(results, out_path);
+  std::vector<eb::BenchRecord> records;
+  for (const Result& r : results) records.push_back(to_record(r));
+  const bool wrote = eb::write_bench_json(
+      out_path, evedge::core::parallel_thread_count(), {}, records);
 
   // Precision contract: every record must stay within one quantization
   // step of its fake-quant reference.

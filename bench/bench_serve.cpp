@@ -20,11 +20,7 @@
 // serial per-stream result (drop policy disabled) — exits non-zero
 // otherwise. Results go to BENCH_serve.json.
 //
-// Usage: bench_serve [output.json] [--json]
-//
-// --json: machine-readable mode — the JSON document is ALSO written to
-// stdout (exactly one document, parse with any JSON reader) and the
-// human tables move to stderr. The output file is still written.
+// Usage: bench_serve [output.json]
 
 #include <cstdio>
 #include <string>
@@ -42,16 +38,13 @@ namespace ee = evedge::events;
 namespace en = evedge::nn;
 namespace es = evedge::sparse;
 namespace ev = evedge::serve;
+namespace eb = evedge::bench;
 
 namespace {
 
 /// Worker budget both sides spend (recorded as "threads" in the JSON;
 /// constant so the regression gate compares like with like anywhere).
 constexpr int kWorkers = 2;
-
-/// Human tables land here: stdout normally, stderr under --json (stdout
-/// then carries exactly one JSON document).
-std::FILE* g_table = stdout;
 
 struct Result {
   std::string network;
@@ -111,73 +104,40 @@ struct PacedResult {
   return ee::PoissonEventSynthesizer(profile, cfg).generate(0, duration);
 }
 
-void write_json_to(std::FILE* f, const std::vector<Result>& results,
-                   const std::vector<PacedResult>& paced) {
-  std::fprintf(f,
-               "{\n  \"threads\": %d,\n  \"scale\": "
-               "\"96x128 base16, lif_threshold_scale=2, worker budget %d, "
-               "collator batch 8\",\n  \"results\": [\n",
-               kWorkers, kWorkers);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"network\": \"%s\", \"streams\": %d, \"frames\": %zu, "
-        "\"density\": %.4f, \"serial_dense_fps\": %.2f, "
-        "\"serial_planned_fps\": %.2f, \"serve_fps\": %.2f, "
-        "\"speedup_serve\": %.2f, \"speedup_planned\": %.2f, "
-        "\"p50_ms\": %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f, "
-        "\"mean_batch\": %.2f, \"max_abs_diff\": %.3g}%s\n",
-        r.network.c_str(), r.streams, r.frames, r.density,
-        r.serial_dense_fps, r.serial_planned_fps, r.serve_fps,
-        r.speedup_serve(), r.speedup_planned(), r.p50_ms, r.p95_ms,
-        r.p99_ms, r.mean_batch, r.max_abs_diff,
-        i + 1 < results.size() || !paced.empty() ? "," : "");
-  }
-  for (std::size_t i = 0; i < paced.size(); ++i) {
-    const PacedResult& r = paced[i];
-    std::fprintf(
-        f,
-        "    {\"mode\": \"paced\", \"network\": \"%s\", \"streams\": %d, "
-        "\"frames\": %zu, \"pace_speedup\": %.1f, \"deadline_ms\": %.1f, "
-        "\"serve_fps\": %.2f, \"p50_ms\": %.2f, \"p99_ms\": %.2f, "
-        "\"ontime_ratio\": %.4f, \"wall_ms\": %.1f, "
-        "\"target_ms\": %.1f}%s\n",
-        r.network.c_str(), r.streams, r.frames, kPaceSpeedup,
-        kPacedDeadlineMs, r.serve_fps, r.p50_ms, r.p99_ms, r.ontime_ratio,
-        r.wall_ms, r.target_ms, i + 1 < paced.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+[[nodiscard]] eb::BenchRecord to_record(const Result& r) {
+  return {{eb::jstr("network", r.network), eb::jint("streams", r.streams)},
+          {eb::jnum("speedup_serve", r.speedup_serve(), "%.2f")},
+          {eb::jint("frames", static_cast<long long>(r.frames)),
+           eb::jnum("density", r.density),
+           eb::jnum("serial_dense_fps", r.serial_dense_fps, "%.2f"),
+           eb::jnum("serial_planned_fps", r.serial_planned_fps, "%.2f"),
+           eb::jnum("serve_fps", r.serve_fps, "%.2f"),
+           eb::jnum("speedup_planned", r.speedup_planned(), "%.2f"),
+           eb::jnum("p50_ms", r.p50_ms, "%.2f"),
+           eb::jnum("p95_ms", r.p95_ms, "%.2f"),
+           eb::jnum("p99_ms", r.p99_ms, "%.2f"),
+           eb::jnum("mean_batch", r.mean_batch, "%.2f"),
+           eb::jnum("max_abs_diff", r.max_abs_diff, "%.3g")}};
 }
 
-[[nodiscard]] bool write_json(const std::vector<Result>& results,
-                              const std::vector<PacedResult>& paced,
-                              const std::string& path, bool echo_stdout) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  write_json_to(f, results, paced);
-  std::fclose(f);
-  std::fprintf(g_table, "\nwrote %s\n", path.c_str());
-  if (echo_stdout) write_json_to(stdout, results, paced);
-  return true;
+[[nodiscard]] eb::BenchRecord to_record(const PacedResult& r) {
+  return {{eb::jstr("mode", "paced"), eb::jstr("network", r.network),
+           eb::jint("streams", r.streams)},
+          {eb::jnum("ontime_ratio", r.ontime_ratio)},
+          {eb::jint("frames", static_cast<long long>(r.frames)),
+           eb::jnum("pace_speedup", kPaceSpeedup, "%.1f"),
+           eb::jnum("deadline_ms", kPacedDeadlineMs, "%.1f"),
+           eb::jnum("serve_fps", r.serve_fps, "%.2f"),
+           eb::jnum("p50_ms", r.p50_ms, "%.2f"),
+           eb::jnum("p99_ms", r.p99_ms, "%.2f"),
+           eb::jnum("wall_ms", r.wall_ms, "%.1f"),
+           eb::jnum("target_ms", r.target_ms, "%.1f")}};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_serve.json";
-  bool json_stdout = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      json_stdout = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (json_stdout) g_table = stderr;
+  const std::string out_path = argc > 1 ? argv[1] : "BENCH_serve.json";
   // Mid scale in the paper's spiking band (see bench_sparse_engine):
   // large enough that the planner's sparse routes engage, small enough
   // for a bounded CI run at 16 streams.
@@ -187,8 +147,8 @@ int main(int argc, char** argv) {
   const int stream_counts[] = {1, 4, 8, 16};
   constexpr ee::TimeUs kDuration = 250'000;  // ~7 merged frames per stream
 
-  std::fprintf(g_table, "serving runtime benchmark (worker budget %d)\n", kWorkers);
-  std::fprintf(g_table, "%-18s %7s %7s %8s %9s %9s %9s %8s %8s %7s %7s %12s\n",
+  std::printf("serving runtime benchmark (worker budget %d)\n", kWorkers);
+  std::printf("%-18s %7s %7s %8s %9s %9s %9s %8s %8s %7s %7s %12s\n",
               "network", "streams", "frames", "density", "dense_fps",
               "plan_fps", "serve_fps", "speedup", "vs_plan", "p95_ms",
               "batch", "max_abs_diff");
@@ -271,14 +231,14 @@ int main(int argc, char** argv) {
         parity_ok = false;
       }
 
-      std::fprintf(g_table, 
+      std::printf(
           "%-18s %7d %7zu %8.4f %9.1f %9.1f %9.1f %7.2fx %7.2fx %7.1f "
           "%7.2f %12.3g\n",
           r.network.c_str(), r.streams, r.frames, r.density,
           r.serial_dense_fps, r.serial_planned_fps, r.serve_fps,
           r.speedup_serve(), r.speedup_planned(), r.p95_ms, r.mean_batch,
           r.max_abs_diff);
-      std::fflush(g_table);
+      std::fflush(stdout);
       results.push_back(std::move(r));
     }
   }
@@ -289,9 +249,9 @@ int main(int argc, char** argv) {
   // "does every frame complete within the wall deadline", not "how
   // fast can the pipeline drain". Gated via ontime_ratio.
   std::vector<PacedResult> paced;
-  std::fprintf(g_table, "\npaced closed-loop (pace %.0fx, deadline %.0f ms)\n",
+  std::printf("\npaced closed-loop (pace %.0fx, deadline %.0f ms)\n",
               kPaceSpeedup, kPacedDeadlineMs);
-  std::fprintf(g_table, "%-18s %7s %7s %9s %7s %7s %8s %8s %9s\n", "network",
+  std::printf("%-18s %7s %7s %9s %7s %7s %8s %8s %9s\n", "network",
               "streams", "frames", "serve_fps", "p50_ms", "p99_ms",
               "ontime", "wall_ms", "target_ms");
   // Only the fast network: a net whose single-frame service time
@@ -334,16 +294,24 @@ int main(int argc, char** argv) {
       r.target_ms =
           static_cast<double>(kDuration) / 1e3 / kPaceSpeedup;
       if (!report.accounting_ok()) parity_ok = false;
-      std::fprintf(g_table, "%-18s %7d %7zu %9.1f %7.2f %7.2f %8.4f %8.1f %9.1f\n",
+      std::printf("%-18s %7d %7zu %9.1f %7.2f %7.2f %8.4f %8.1f %9.1f\n",
                   r.network.c_str(), r.streams, r.frames, r.serve_fps,
                   r.p50_ms, r.p99_ms, r.ontime_ratio, r.wall_ms,
                   r.target_ms);
-      std::fflush(g_table);
+      std::fflush(stdout);
       paced.push_back(std::move(r));
     }
   }
 
-  const bool wrote = write_json(results, paced, out_path, json_stdout);
+  std::vector<eb::BenchRecord> records;
+  for (const Result& r : results) records.push_back(to_record(r));
+  for (const PacedResult& r : paced) records.push_back(to_record(r));
+  const bool wrote = eb::write_bench_json(
+      out_path, kWorkers,
+      {eb::jstr("scale", "96x128 base16, lif_threshold_scale=2, worker "
+                         "budget " + std::to_string(kWorkers) +
+                         ", collator batch 8")},
+      records);
   if (!parity_ok) {
     std::fprintf(stderr,
                  "parity failure: serving output diverged from per-stream "

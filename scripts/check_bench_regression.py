@@ -2,74 +2,57 @@
 """Benchmark perf regression gate.
 
 Compares a freshly produced benchmark JSON against the checked-in
-baseline and fails (exit 1) when any record's speedup dropped by more
-than the threshold. Speedup is a same-machine same-run ratio (reference
-work / fast-path work), so it is largely machine-speed invariant — a
-drop means the fast path itself regressed relative to the reference
-work.
+baseline and fails (exit 1) when any gated metric dropped by more than
+the threshold. Every gated metric is a same-machine same-run ratio
+(reference work / fast-path work, serve fps / serial fps, on-time
+fraction, ...), so it is largely machine-speed invariant and higher is
+better — a drop means the fast path itself regressed.
 
-Six benchmark schemas are understood, auto-detected per record:
+Every gated bench writes one record shape (bench/bench_common.hpp,
+write_bench_json):
 
-  BENCH_kernels.json / BENCH_quant.json
-      records with kernel/shape/density and a single "speedup" metric
-  BENCH_e2e.json
-      records with density/batch and two metrics, "speedup_batched"
-      and "speedup_csr"
-  BENCH_sparse_engine.json
-      records with network/density and a "speedup_planner" metric
-      (planner-routed engine vs all-dense, same machine same run);
-      records that carry "speedup_tiled_best" (the best measured tile
-      geometry from the bench's forced-tile sweep) gate on it too — a
-      drop means the tiled chain walker itself slowed down, independent
-      of whether the cache model picked that geometry
-  BENCH_serve.json
-      records with network/streams and a "speedup_serve" metric
-      (concurrent serving runtime vs per-stream serial dense execution
-      at the same worker budget, same machine same run); paced
-      closed-loop records carry "ontime_ratio" instead (fraction of
-      frames completed within the wall deadline while ingress replays
-      at IngressConfig::pace_speedup x real time) and gate on it the
-      same way — a lower fresh ratio than baseline is a regression
-  BENCH_obs.json
-      records with an "obs" probe name and a single "ratio" metric —
-      same-run observability-overhead ratios (e.g. serve fps with
-      tracing on / off, disabled-site cost vs a clock read), gated so
-      the always-on instrumentation stays effectively free
+  {"threads": N, <ungated run-level fields>...,
+   "results": [
+     {"key": {...}, "metrics": {"<name>": <number>, ...}, <info>...},
+     ...]}
 
-Records are keyed by (kernel, shape, density); every metric of a record
-gates independently. Keys present only in the fresh run (newly added
-benches) are reported but do not gate; keys missing from the fresh run
-fail the gate (a silently dropped bench must not pass as "no
-regression"). Thread counts must match between baseline and fresh run —
-extra fast-path threads would mask real regressions.
+A record is identified by the canonical (sorted-key) form of its "key"
+object; every entry of its "metrics" object gates independently; any
+other member of a record (ref_ms, p99_ms, max_abs_diff, ...) is
+information and ignored. Keys present only in the fresh run (newly
+added records) are reported but do not gate; keys or metrics missing
+from the fresh run fail the gate (a silently dropped bench must not pass
+as "no regression"). Thread counts must match between baseline and
+fresh run — extra fast-path threads would mask real regressions.
 
-Malformed inputs (truncated/invalid JSON, a missing required key, a
-non-numeric metric) are rejected with a message naming the file, record
-index and key, and exit code 2 — never a raw traceback.
+Malformed inputs (truncated/invalid JSON, a record without an object
+"key" or a non-empty object "metrics", a non-numeric metric, a
+duplicated key) are rejected with a message naming the file and record
+index, and exit code 2 — never a raw traceback.
 
 Usage: check_bench_regression.py BASELINE.json FRESH.json [--threshold 0.20]
 """
 
 import argparse
 import json
+import math
 import sys
 
 
 class BenchFormatError(Exception):
-    """A benchmark JSON is malformed or missing a required key."""
+    """A benchmark JSON is malformed or not in the bench record shape."""
 
 
-def _require(record, key, path, index):
-    """Fetches record[key], naming the file/record/key on failure."""
-    try:
-        return record[key]
-    except (KeyError, TypeError):
+def _metric(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
         raise BenchFormatError(
-            f"{path}: results[{index}] is missing required key "
-            f"'{key}' (record: {json.dumps(record)[:200]})") from None
+            f"{where} must be a finite number, got {json.dumps(value)}")
+    return float(value)
 
 
 def load(path):
+    """Returns ({canonical key: {metric: value}}, threads)."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -83,6 +66,11 @@ def load(path):
         raise BenchFormatError(
             f"{path}: top level must be a JSON object, got "
             f"{type(data).__name__}")
+    threads = data.get("threads")
+    if isinstance(threads, bool) or not isinstance(threads, int):
+        raise BenchFormatError(
+            f"{path}: top-level key 'threads' must be an integer, got "
+            f"{json.dumps(threads)}")
     results = data.get("results")
     if not isinstance(results, list):
         raise BenchFormatError(
@@ -90,53 +78,18 @@ def load(path):
             f"list) — not a benchmark output file?")
     out = {}
     for i, r in enumerate(results):
-        try:
-            if not isinstance(r, dict):
-                raise BenchFormatError(
-                    f"{path}: results[{i}] must be an object, got "
-                    f"{type(r).__name__}")
-            if "kernel" in r:
-                key = (r["kernel"], _require(r, "shape", path, i),
-                       round(float(_require(r, "density", path, i)), 6))
-                metrics = {"speedup": float(_require(r, "speedup", path, i))}
-            elif "speedup_planner" in r:  # sparse engine schema
-                key = ("sparse_engine", _require(r, "network", path, i),
-                       round(float(_require(r, "density", path, i)), 6))
-                metrics = {"speedup_planner": float(r["speedup_planner"])}
-                if "speedup_tiled_best" in r:
-                    metrics["speedup_tiled_best"] = float(
-                        r["speedup_tiled_best"])
-            elif "ontime_ratio" in r:  # paced closed-loop serving schema
-                key = ("serve_paced", _require(r, "network", path, i),
-                       float(int(_require(r, "streams", path, i))))
-                metrics = {"ontime_ratio": float(r["ontime_ratio"])}
-            elif "speedup_serve" in r:  # serving schema (keyed by streams)
-                key = ("serve", _require(r, "network", path, i),
-                       float(int(_require(r, "streams", path, i))))
-                metrics = {"speedup_serve": float(r["speedup_serve"])}
-            elif "obs" in r:  # observability-overhead schema
-                key = ("obs", r["obs"],
-                       float(int(r.get("streams", 0))))
-                metrics = {"ratio": float(_require(r, "ratio", path, i))}
-            else:  # e2e schema
-                key = ("e2e", "batch=%d" % int(_require(r, "batch", path, i)),
-                       round(float(_require(r, "density", path, i)), 6))
-                metrics = {
-                    "speedup_batched":
-                        float(_require(r, "speedup_batched", path, i)),
-                    "speedup_csr": float(_require(r, "speedup_csr", path, i)),
-                }
-        except (ValueError, TypeError) as e:
+        where = f"{path}: results[{i}]"
+        if not isinstance(r, dict) or not isinstance(r.get("key"), dict) \
+                or not isinstance(r.get("metrics"), dict) \
+                or not r["metrics"]:
             raise BenchFormatError(
-                f"{path}: results[{i}] has a non-numeric value where a "
-                f"number is required: {e}") from None
-        out[key] = metrics
-    try:
-        threads = int(data.get("threads", 0))
-    except (ValueError, TypeError):
-        raise BenchFormatError(
-            f"{path}: top-level key 'threads' must be an integer, got "
-            f"{data.get('threads')!r}") from None
+                f"{where} is not a bench record (needs an object 'key' and "
+                f"a non-empty object 'metrics'): {json.dumps(r)[:200]}")
+        key = json.dumps(r["key"], sort_keys=True)
+        if key in out:
+            raise BenchFormatError(f"{where} repeats key {key}")
+        out[key] = {name: _metric(value, f"{where} metric '{name}'")
+                    for name, value in r["metrics"].items()}
     return out, threads
 
 
@@ -145,7 +98,7 @@ def main():
     parser.add_argument("baseline")
     parser.add_argument("fresh")
     parser.add_argument("--threshold", type=float, default=0.20,
-                        help="maximum tolerated fractional speedup drop")
+                        help="maximum tolerated fractional metric drop")
     args = parser.parse_args()
 
     try:
@@ -162,38 +115,34 @@ def main():
         return 1
 
     failures = []
-    print(f"{'kernel':<24} {'shape':<28} {'density':>8} "
-          f"{'metric':<16} {'base':>8} {'fresh':>8} {'ratio':>7}")
+    print(f"{'key':<72} {'metric':<20} {'base':>9} {'fresh':>9} "
+          f"{'ratio':>6}")
     for key in sorted(base):
-        kernel, shape, density = key
         if key not in fresh:
             failures.append(f"missing from fresh run: {key}")
             continue
-        for metric in sorted(base[key]):
-            b = base[key][metric]
+        for metric, b in sorted(base[key].items()):
             if metric not in fresh[key]:
                 failures.append(f"missing metric {metric} for {key}")
                 continue
             f = fresh[key][metric]
             ratio = f / b if b > 0 else float("inf")
-            flag = "  FAIL" if ratio < 1.0 - args.threshold else ""
-            print(f"{kernel:<24} {shape:<28} {density:>8.4f} "
-                  f"{metric:<16} {b:>7.2f}x {f:>7.2f}x {ratio:>7.2f}{flag}")
-            if ratio < 1.0 - args.threshold:
+            failed = ratio < 1.0 - args.threshold
+            print(f"{key:<72} {metric:<20} {b:>9.4g} {f:>9.4g} "
+                  f"{ratio:>6.2f}{'  FAIL' if failed else ''}")
+            if failed:
                 failures.append(
-                    f"{kernel} {shape} density={density} {metric}: "
-                    f"{b:.2f}x -> {f:.2f}x "
+                    f"{key} {metric}: {b:.4g} -> {f:.4g} "
                     f"({(1.0 - ratio) * 100:.0f}% drop)")
     gated = sum(len(m) for m in base.values())
     new = sorted(set(fresh) - set(base))
     for key in new:
-        for metric in sorted(fresh[key]):
-            print(f"{key[0]:<24} {key[1]:<28} {key[2]:>8.4f} "
-                  f"{metric:<16} {'new':>8} {fresh[key][metric]:>7.2f}x")
+        for metric, f in sorted(fresh[key].items()):
+            print(f"{key:<72} {metric:<20} {'new':>9} {f:>9.4g}")
 
     if failures:
         print("\nPERF REGRESSION GATE FAILED "
-              f"(>{args.threshold * 100:.0f}% speedup drop):", file=sys.stderr)
+              f"(>{args.threshold * 100:.0f}% drop):", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1

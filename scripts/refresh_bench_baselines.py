@@ -8,19 +8,17 @@ by a bench's *reference* side speeds up, a new bench is added — the
 baselines must be re-recorded, at the same pinned thread counts the CI
 gates use. This script runs each bench binary with its canonical
 EVEDGE_THREADS setting and copies the result over the checked-in file
-(also addressing the ROADMAP caveat that the 4-thread BENCH_kernels_mt /
-BENCH_e2e_mt baselines go stale relative to the machine that records
-them: rerun this wherever the gate runs).
+(also addressing the ROADMAP caveat that the 4-thread BENCH_kernels_mt
+baseline goes stale relative to the machine that records it: rerun
+this wherever the gate runs).
 
 Usage:
     scripts/refresh_bench_baselines.py [--build-dir build]
-        [--repo-root .] [--only kernels,e2e_mt,...] [--dry-run]
+        [--repo-root .] [--only kernels,kernels_mt,...] [--dry-run]
 
 Baselines and their recording configuration:
     kernels        bench_kernels        EVEDGE_THREADS=1
     kernels_mt     bench_kernels        EVEDGE_THREADS=4
-    e2e            bench_e2e            EVEDGE_THREADS=1
-    e2e_mt         bench_e2e            EVEDGE_THREADS=4
     quant          bench_quant          EVEDGE_THREADS=1
     sparse_engine  bench_sparse_engine  EVEDGE_THREADS=1
     serve          bench_serve          EVEDGE_THREADS=2 (worker budget
@@ -44,8 +42,6 @@ import tempfile
 BASELINES = {
     "kernels": ("bench_kernels", "BENCH_kernels.json", 1),
     "kernels_mt": ("bench_kernels", "BENCH_kernels_mt.json", 4),
-    "e2e": ("bench_e2e", "BENCH_e2e.json", 1),
-    "e2e_mt": ("bench_e2e", "BENCH_e2e_mt.json", 4),
     "quant": ("bench_quant", "BENCH_quant.json", 1),
     "sparse_engine": ("bench_sparse_engine", "BENCH_sparse_engine.json", 1),
     "serve": ("bench_serve", "BENCH_serve.json", 2),

@@ -11,6 +11,17 @@
 //   Ev-Edge (full)         : both true with an NMP-searched mapping
 // A fifth configuration (charge_encode_overhead) models the rejected
 // alternative of running sparse libraries on dense event frames.
+//
+// The simulator keeps its own E2SF -> DSFA loop instead of running the
+// serving ingress core (serve::IngressCore), because the loop is driven
+// by simulated device time:
+//  - Idle dispatch is decided at each frame's arrival, against the
+//    simulated device_free_us: DSFA releases its buckets early only when
+//    the modelled device is already idle.
+//  - IngressCore's FrameSink sees DSFA output only after a whole frame
+//    interval closes, and the core has no device clock to consult.
+//  - simulate_frame_pipeline also takes pre-built frames (the static
+//    accumulation baselines), which never pass through E2SF.
 
 #include <cstdint>
 #include <vector>

@@ -34,7 +34,10 @@ int ExecutionPlan::sparse_node_count() const noexcept {
 
 bool ExecutionPlan::density_in_band(double live_density,
                                     double band) const noexcept {
-  if (probe_input_density <= 0.0 || band < 1.0) return false;
+  if (band < 1.0) return false;
+  // A band around zero is {0}: a plan probed on an empty input stays in
+  // band exactly while the input stays empty.
+  if (probe_input_density <= 0.0) return live_density <= 0.0;
   return live_density >= probe_input_density / band &&
          live_density <= probe_input_density * band;
 }

@@ -107,8 +107,8 @@ struct ExecutionPlan {
   /// The serving runtime re-calibrates a worker's plan when the live
   /// input density leaves the band (DSFA tracks the drift signal): the
   /// routes were chosen for the probe's density regime and go stale when
-  /// the scene changes. A plan with no recorded probe density is always
-  /// out of band.
+  /// the scene changes. A plan probed at density 0 (or with no recorded
+  /// probe density) is in band exactly when the live density is 0.
   [[nodiscard]] bool density_in_band(double live_density,
                                      double band) const noexcept;
 

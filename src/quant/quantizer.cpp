@@ -55,6 +55,10 @@ float max_abs(std::span<const float> values) noexcept {
   return m;
 }
 
+double output_quant_step(const sparse::DenseTensor& reference) {
+  return static_cast<double>(max_abs(reference.data())) / 127.0;
+}
+
 void fake_quantize(std::span<float> values, Precision precision) noexcept {
   switch (precision) {
     case Precision::kFp32:

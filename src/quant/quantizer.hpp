@@ -49,6 +49,12 @@ struct Int8Scale {
 /// resulting grid still covers every finite value.
 [[nodiscard]] float max_abs(std::span<const float> values) noexcept;
 
+/// One quantization step of the int8 grid covering `reference`: the
+/// elementwise tolerance for comparing real int8 engine output against
+/// its fake-quant reference (the two share every rounding decision and
+/// differ only in accumulation order).
+[[nodiscard]] double output_quant_step(const sparse::DenseTensor& reference);
+
 /// Fake-quantizes every element of `values` in place to `precision`
 /// (no-op for FP32). INT8 scale is computed from the span itself.
 void fake_quantize(std::span<float> values, Precision precision) noexcept;

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <random>
+#include <utility>
 
 #include "core/batch_executor.hpp"
 #include "core/dsfa.hpp"
@@ -141,6 +144,122 @@ TEST(E2sf, RejectsEventsOutsideInterval) {
   const ec::Event2SparseFrame e2sf(g, ec::E2sfConfig{2});
   EXPECT_THROW((void)e2sf.convert(stream.events(), 0, 1000),
                std::invalid_argument);
+}
+
+// Seeded hostile-input harness: valid windows mutated with coordinates
+// off the sensor and timestamps out of order or outside the interval.
+// Every case is either an exact accept (each event in exactly the Eq. 1
+// bin, counts conserved) or a MalformedEventError whose kind and index
+// name the first offending event; nothing else may escape.
+TEST(E2sf, HostileWindowsAcceptExactlyOrRejectTyped) {
+  using Kind = ec::MalformedEventError::Kind;
+  const ee::SensorGeometry g{40, 30};
+  constexpr int kBins = 5;
+  constexpr ee::TimeUs t0 = 1000;
+  constexpr ee::TimeUs t1 = 11'000;
+  const ec::Event2SparseFrame e2sf(g, ec::E2sfConfig{kBins});
+  std::mt19937_64 rng(20'261'019);
+  const auto uniform = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<ee::Event> window(static_cast<std::size_t>(uniform(0, 48)));
+    for (ee::Event& e : window) {
+      e.x = static_cast<std::uint16_t>(uniform(0, g.width - 1));
+      e.y = static_cast<std::uint16_t>(uniform(0, g.height - 1));
+      e.t = uniform(t0, t1 - 1);
+      e.p = uniform(0, 1) == 1 ? ee::Polarity::kPositive
+                               : ee::Polarity::kNegative;
+    }
+    std::sort(window.begin(), window.end(),
+              [](const ee::Event& a, const ee::Event& b) { return a.t < b.t; });
+    const auto mutations = window.empty() ? 0 : uniform(0, 3);
+    for (std::int64_t m = 0; m < mutations; ++m) {
+      const auto i = static_cast<std::size_t>(
+          uniform(0, static_cast<std::int64_t>(window.size()) - 1));
+      ee::Event& e = window[i];
+      switch (uniform(0, 6)) {
+        case 0:
+          e.x = static_cast<std::uint16_t>(g.width + uniform(0, 2));
+          break;
+        case 1:
+          e.y = static_cast<std::uint16_t>(uniform(0, 1) == 1 ? 65535
+                                                              : g.height);
+          break;
+        case 2:
+          e.t -= uniform(1, 500);
+          break;
+        case 3:
+          e.t = t1 + uniform(0, 100);
+          break;
+        case 4:
+          e.t = t0 - uniform(1, 100);
+          break;
+        case 5:
+          if (i + 1 < window.size()) std::swap(e.t, window[i + 1].t);
+          break;
+        default:
+          e.t = uniform(t0 - 200, t1 + 200);
+          break;
+      }
+    }
+
+    // Oracle: the first offending event, checked in E2SF's order
+    // (geometry, then monotonicity from t_start, then the interval).
+    std::optional<std::pair<std::size_t, Kind>> first_bad;
+    ee::TimeUs prev = t0;
+    for (std::size_t i = 0; i < window.size() && !first_bad; ++i) {
+      const ee::Event& e = window[i];
+      if (!g.contains(e.x, e.y)) {
+        first_bad.emplace(i, Kind::kOutOfBounds);
+      } else if (e.t < prev) {
+        first_bad.emplace(i, Kind::kNonMonotonicTimestamp);
+      } else if (e.t < t0 || e.t >= t1) {
+        first_bad.emplace(i, Kind::kOutsideInterval);
+      }
+      prev = e.t;
+    }
+
+    try {
+      const auto frames = e2sf.convert(window, t0, t1);
+      ASSERT_FALSE(first_bad.has_value())
+          << "trial " << trial << " accepted event " << first_bad->first;
+      ASSERT_EQ(frames.size(), static_cast<std::size_t>(kBins));
+      // Eq. 1 binning, rendered densely per bin.
+      const double bin_span = static_cast<double>(t1 - t0) / kBins;
+      std::vector<es::DenseTensor> want(
+          kBins, es::DenseTensor(es::TensorShape{1, 2, g.height, g.width}));
+      std::vector<std::int64_t> counts(kBins, 0);
+      for (const ee::Event& e : window) {
+        const int bin = std::clamp(
+            static_cast<int>(std::floor(static_cast<double>(e.t - t0) /
+                                        bin_span)),
+            0, kBins - 1);
+        want[static_cast<std::size_t>(bin)].at(
+            0, e.p == ee::Polarity::kPositive ? 0 : 1, e.y, e.x) += 1.0f;
+        ++counts[static_cast<std::size_t>(bin)];
+      }
+      for (std::size_t b = 0; b < frames.size(); ++b) {
+        EXPECT_NO_THROW(frames[b].validate());
+        EXPECT_EQ(frames[b].source_events, counts[b]) << "trial " << trial;
+        EXPECT_EQ(es::max_abs_diff(frames[b].to_dense(), want[b]), 0.0f)
+            << "trial " << trial << " bin " << b;
+      }
+      ++accepted;
+    } catch (const ec::MalformedEventError& err) {
+      ASSERT_TRUE(first_bad.has_value())
+          << "trial " << trial << " rejected a valid window: " << err.what();
+      EXPECT_EQ(err.event_index(), first_bad->first) << "trial " << trial;
+      EXPECT_EQ(err.kind(), first_bad->second) << "trial " << trial;
+      ++rejected;
+    }
+  }
+  // The seed exercises both outcomes.
+  EXPECT_GT(accepted, 50u);
+  EXPECT_GT(rejected, 50u);
 }
 
 TEST(E2sf, StaticAccumulationByCount) {
@@ -709,6 +828,26 @@ TEST(BatchExecutor, RunsDispatchedBatchesOnTheBatchedEngine) {
   EXPECT_EQ(executor.stats().samples, 3u);
   EXPECT_GT(executor.stats().wall_ms, 0.0);
   EXPECT_THROW((void)executor.execute({}), std::invalid_argument);
+}
+
+// A quiet scene: a plan calibrated on an empty frame stays in band while
+// frames stay empty, and the first frame with events leaves the band.
+TEST(BatchExecutor, QuietSceneKeepsItsPlanUntilEventsArrive) {
+  const auto spec =
+      en::build_network(en::NetworkId::kDotie, en::ZooConfig::test_scale());
+  const auto& shape = spec.graph.node(0).spec.out_shape;
+  en::FunctionalNetwork net(spec, 7);
+  ec::BatchExecutor executor(net);
+  executor.enable_execution_planner();
+
+  const es::SparseFrame empty(shape.h, shape.w);
+  for (int i = 0; i < 5; ++i) (void)executor.execute({empty});
+  EXPECT_EQ(executor.stats().calibrations, 1u);
+  EXPECT_EQ(executor.stats().recalibrations, 0u);
+
+  (void)executor.execute({frame_at(0, 1000, shape.h, shape.w, 40)});
+  EXPECT_EQ(executor.stats().calibrations, 1u);
+  EXPECT_EQ(executor.stats().recalibrations, 1u);
 }
 
 TEST(Pipeline, ExecutorRoutesEveryDispatchedBatch) {

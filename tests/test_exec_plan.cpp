@@ -18,7 +18,6 @@
 #include "nn/zoo.hpp"
 #include "quant/accuracy.hpp"
 #include "quant/calibrate.hpp"
-#include "quant/qnetwork.hpp"
 #include "sparse/sparse_frame.hpp"
 #include "sparse/sparse_ops.hpp"
 
@@ -504,26 +503,36 @@ TEST(ExecutionPlan, ComposesWithQuantPlan) {
                                       en::ZooConfig::test_scale());
   const auto calib = eq::make_validation_set(spec, 2, 9, 0.02);
   const auto eval = eq::make_validation_set(spec, 1, 99, 0.02);
-  eq::QuantizedNetwork qnet(
-      spec, 7, eq::uniform_assignment(spec, eq::Precision::kInt8), calib);
+  en::FunctionalNetwork net(spec, 7);
+  const auto table = eq::calibrate_activations(net, calib);
+  const auto precisions = eq::uniform_assignment(spec, eq::Precision::kInt8);
+  const auto real_plan = eq::build_quant_plan(net, precisions, table);
+  const auto simulated_plan =
+      eq::build_quant_plan(net, precisions, table, /*simulate=*/true);
 
-  const auto dense_int8 = qnet.run(eval[0].event_steps);
-  const auto reference = qnet.run_reference(eval[0].event_steps);
+  net.set_quant_plan(&real_plan);
+  const auto dense_int8 = net.run(eval[0].event_steps);
+  net.set_quant_plan(&simulated_plan);
+  const auto reference = net.run(eval[0].event_steps);
 
-  const auto& plan = qnet.plan_execution(eval[0].event_steps);
+  // The planner calibrates in FP32, then composes with the int8 plan.
+  net.set_quant_plan(nullptr);
+  const auto plan = en::ExecutionPlanner::calibrate(net, eval[0].event_steps);
+  net.set_execution_plan(&plan);
   EXPECT_GT(plan.sparse_node_count(), 0);
-  EXPECT_TRUE(qnet.has_execution_plan());
-  const auto routed_int8 = qnet.run(eval[0].event_steps);
+  EXPECT_EQ(net.execution_plan(), &plan);
+  net.set_quant_plan(&real_plan);
+  const auto routed_int8 = net.run(eval[0].event_steps);
 
   ASSERT_EQ(routed_int8.shape(), dense_int8.shape());
   EXPECT_EQ(es::max_abs_diff(routed_int8, dense_int8), 0.0f);
   const double step = eq::output_quant_step(reference);
   EXPECT_LE(es::max_abs_diff(routed_int8, reference), step + 1e-6);
   // Sparse int8 kernels genuinely executed.
-  (void)qnet.run(eval[0].event_steps);
-  EXPECT_GT(qnet.network().last_exec_stats().sparse_node_runs, 0u);
-  qnet.clear_execution_plan();
-  EXPECT_FALSE(qnet.has_execution_plan());
+  (void)net.run(eval[0].event_steps);
+  EXPECT_GT(net.last_exec_stats().sparse_node_runs, 0u);
+  net.set_execution_plan(nullptr);
+  EXPECT_EQ(net.execution_plan(), nullptr);
 }
 
 // -------------------------------------------------- cold start + bridge
@@ -918,19 +927,26 @@ TEST(TilePlan, TiledInt8WithinOneQuantStep) {
                                       en::ZooConfig::test_scale());
   const auto calib = eq::make_validation_set(spec, 2, 9, 0.02);
   const auto eval = eq::make_validation_set(spec, 1, 99, 0.02);
-  eq::QuantizedNetwork qnet(
-      spec, 7, eq::uniform_assignment(spec, eq::Precision::kInt8), calib);
+  en::FunctionalNetwork net(spec, 7);
+  const auto table = eq::calibrate_activations(net, calib);
+  const auto precisions = eq::uniform_assignment(spec, eq::Precision::kInt8);
+  const auto real_plan = eq::build_quant_plan(net, precisions, table);
+  const auto simulated_plan =
+      eq::build_quant_plan(net, precisions, table, /*simulate=*/true);
 
-  const auto dense_int8 = qnet.run(eval[0].event_steps);
-  const auto reference = qnet.run_reference(eval[0].event_steps);
+  net.set_quant_plan(&real_plan);
+  const auto dense_int8 = net.run(eval[0].event_steps);
+  net.set_quant_plan(&simulated_plan);
+  const auto reference = net.run(eval[0].event_steps);
 
-  const auto tiled =
-      with_forced_tiles(spec, qnet.plan_execution(eval[0].event_steps), 2);
+  net.set_quant_plan(nullptr);
+  const auto tiled = with_forced_tiles(
+      spec, en::ExecutionPlanner::calibrate(net, eval[0].event_steps), 2);
   ASSERT_TRUE(tiled.tiles.enabled());
-  qnet.network().set_execution_plan(&tiled);
-  const auto routed_int8 = qnet.run(eval[0].event_steps);
-  qnet.network().set_execution_plan(nullptr);
-  qnet.clear_execution_plan();
+  net.set_execution_plan(&tiled);
+  net.set_quant_plan(&real_plan);
+  const auto routed_int8 = net.run(eval[0].event_steps);
+  net.set_execution_plan(nullptr);
 
   ASSERT_EQ(routed_int8.shape(), dense_int8.shape());
   EXPECT_EQ(es::max_abs_diff(routed_int8, dense_int8), 0.0f);
