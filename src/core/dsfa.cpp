@@ -1,7 +1,5 @@
 #include "core/dsfa.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace evedge::core {
@@ -26,12 +24,6 @@ DynamicSparseFrameAggregator::DynamicSparseFrameAggregator(DsfaConfig config)
   if (config_.density_ema_alpha <= 0.0 || config_.density_ema_alpha > 1.0) {
     throw std::invalid_argument("DSFA: density EMA alpha must be in (0, 1]");
   }
-}
-
-double DynamicSparseFrameAggregator::density_drift(
-    double reference, double eps) const noexcept {
-  if (stats_.frames_in == 0) return 0.0;
-  return std::abs(recent_density_ - reference) / std::max(reference, eps);
 }
 
 std::size_t DynamicSparseFrameAggregator::buffered_frames() const noexcept {

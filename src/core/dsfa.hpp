@@ -88,18 +88,12 @@ class DynamicSparseFrameAggregator {
 
   /// Exponential moving average of the spatial density of pushed frames
   /// (density_ema_alpha weights the newest; 0 before the first push).
-  /// This is the live input-density signal the DSFA merge policy already
-  /// tracks per frame, exposed so downstream consumers (the serving
-  /// runtime's planner-drift recalibration, ingress telemetry) can react
-  /// to scene-level density changes without re-scanning frames.
+  /// Ingress telemetry: it rides each ReadyFrame and the stream report.
+  /// Planner re-calibration does not read it — BatchExecutor::stage
+  /// measures the adapted event tensor's density instead.
   [[nodiscard]] double recent_density() const noexcept {
     return recent_density_;
   }
-
-  /// Relative drift of recent_density() against `reference`:
-  /// |recent - reference| / max(reference, eps). 0 before any push.
-  [[nodiscard]] double density_drift(double reference,
-                                     double eps = 1e-9) const noexcept;
 
   [[nodiscard]] const DsfaStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const DsfaConfig& config() const noexcept { return config_; }

@@ -14,27 +14,13 @@ ActivationDensityProfile measure_activation_densities(
     const nn::NetworkSpec& spec, std::uint64_t weight_seed,
     double input_fill, std::uint64_t input_seed) {
   nn::FunctionalNetwork net(spec, weight_seed);
-  ActivationDensityProfile profile;
-  profile.measured_input_density = input_fill;
-  profile.density.assign(spec.graph.size(), 1.0);
-
-  // Accumulate mean density per node over all timesteps via the hook.
-  std::vector<double> acc(spec.graph.size(), 0.0);
-  std::vector<int> hits(spec.graph.size(), 0);
-  net.set_activation_hook([&](int node_id, sparse::DenseTensor& t) {
-    acc[static_cast<std::size_t>(node_id)] += t.density();
-    ++hits[static_cast<std::size_t>(node_id)];
-  });
-
   const auto samples =
       quant::make_validation_set(spec, 1, input_seed, input_fill);
   const auto& s = samples.front();
-  (void)net.run(s.event_steps,
-                s.image.has_value() ? &s.image.value() : nullptr);
-
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    if (hits[i] > 0) profile.density[i] = acc[i] / hits[i];
-  }
+  ActivationDensityProfile profile;
+  profile.measured_input_density = input_fill;
+  profile.density = nn::measure_output_densities(
+      net, s.event_steps, s.image.has_value() ? &s.image.value() : nullptr);
   // Trained-network ReLU activations stay roughly half dense regardless
   // of input sparsity; random-weight probes on sparse inputs under-
   // predict that, so ANN (non-spiking) nodes are floored at 0.4. Spiking
@@ -55,13 +41,6 @@ ActivationDensityProfile measure_activation_densities(
         i == 0 ? input_fill : 1.0;
   }
   return profile;
-}
-
-nn::ExecutionPlan seed_execution_plan(const nn::FunctionalNetwork& net,
-                                      const ActivationDensityProfile& profile,
-                                      const nn::PlannerOptions& options) {
-  return nn::ExecutionPlanner::plan_from_densities(
-      net, profile.density, profile.measured_input_density, options);
 }
 
 InferenceCost estimate_inference(const nn::NetworkSpec& spec,

@@ -238,13 +238,6 @@ const ExecutionPlan* FunctionalNetwork::set_execution_plan(
               std::to_string(i) + " requires zero bias");
         }
       }
-      if (r == Route::kSubmanifold &&
-          (ls.conv.stride != 1 || ls.out_shape.h != ls.in_shape.h ||
-           ls.out_shape.w != ls.in_shape.w)) {
-        throw std::invalid_argument(
-            "set_execution_plan: submanifold route on node " +
-            std::to_string(i) + " needs stride-1 same-extent geometry");
-      }
     }
   }
   // Validate the tile plan against the graph and the route table before
@@ -425,10 +418,9 @@ void FunctionalNetwork::prepare_packed_weights() {
   for (std::size_t i = 0; i < node_route_.size(); ++i) {
     if (effective_route(i) == Route::kDense) continue;
     // Quantized nodes reduce against the plan's own packed int8 rows;
-    // narrow FP32 spiking kCsr nodes scatter against the raw weight
-    // layout.
+    // narrow FP32 spiking nodes scatter against the raw weight layout.
     if (node_quant(i) != nullptr) continue;
-    if (is_spiking_[i] && node_route_[i] == Route::kCsr &&
+    if (is_spiking_[i] &&
         scatter_current_route(
             spec_.graph.node(static_cast<int>(i)).spec.conv)) {
       continue;
@@ -529,27 +521,17 @@ void FunctionalNetwork::run_chain(ChainExec& chain, int timestep) {
         if (nq != nullptr) {
           out.resize(batch);
           for (std::size_t n = 0; n < batch; ++n) {
-            out[n] = route == Route::kSubmanifold
-                         ? quant::int8_submanifold_conv2d(
-                               (*input)[n], nq->weights, biases_[idx],
-                               nq->input_scale, &work, &workspace_, &window)
-                         : quant::int8_sparse_conv2d_csr(
-                               (*input)[n], nq->weights, biases_[idx],
-                               nq->input_scale, &work, &workspace_, &window);
+            out[n] = quant::int8_sparse_conv2d_csr(
+                (*input)[n], nq->weights, biases_[idx], nq->input_scale,
+                &work, &workspace_, &window);
           }
           return;
         }
         const std::vector<float>& packed =
             workspace_.packed_slot(static_cast<int>(idx));
-        out = route == Route::kSubmanifold
-                  ? sparse::submanifold_conv2d_batch_window(
-                        *input, weights_[idx], biases_[idx], ls.conv, window,
-                        &work, &workspace_,
-                        sparse::SubmanifoldThreading::kAuto, packed)
-                  : sparse::sparse_conv2d_csr_batch_window(
-                        *input, weights_[idx], biases_[idx], ls.conv, window,
-                        &work, &workspace_,
-                        sparse::SubmanifoldThreading::kAuto, packed);
+        out = sparse::sparse_conv2d_csr_batch_window(
+            *input, weights_[idx], biases_[idx], ls.conv, window, &work,
+            &workspace_, sparse::SubmanifoldThreading::kAuto, packed);
       };
       if (is_spiking_[idx]) {
         // Synaptic current over the window rows, then the banded LIF
@@ -558,8 +540,7 @@ void FunctionalNetwork::run_chain(ChainExec& chain, int timestep) {
         // per tap, no COO bookkeeping), wide ones gather and densify —
         // the zero fill is the zero-bias dense fill sparse routes
         // require, so both match dense execution bitwise.
-        if (nq == nullptr && route == Route::kCsr &&
-            scatter_current_route(ls.conv)) {
+        if (nq == nullptr && scatter_current_route(ls.conv)) {
           sparse::sparse_conv2d_window_into(*input, weights_[idx],
                                             biases_[idx], ls.conv, window,
                                             ts.current_window, &work);

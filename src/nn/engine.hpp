@@ -14,14 +14,13 @@
 //    grayscale image, constant across timesteps.
 //
 // Execution routes (exec_plan.hpp): with an ExecutionPlan installed, each
-// conv-shaped node executes kDense, kCsr or kSubmanifold. Sparse-routed
-// nodes consume and produce a COO activation carrier and all execute in
-// one chain walker (a chain that does not tile is walked as one
-// full-plane tile), so consecutive sparse layers chain in sparse form
-// end to end; the engine crosses representations (sparsify/densify)
-// only at route boundaries. kCsr results are bitwise identical to dense
-// execution (zero-bias layers); kSubmanifold is stored-site exact (see
-// exec_plan.hpp).
+// conv-shaped node executes kDense or kCsr. kCsr nodes consume and
+// produce a COO activation carrier and all execute in one chain walker
+// (a chain that does not tile is walked as one full-plane tile), so
+// consecutive sparse layers chain in sparse form end to end; the engine
+// crosses representations (sparsify/densify) only at route boundaries.
+// kCsr results are bitwise identical to dense execution (zero-bias
+// layers).
 
 #include <cstdint>
 #include <functional>
@@ -147,14 +146,13 @@ class FunctionalNetwork {
   /// previously installed plan for scoped save/restore.
   const quant::QuantPlan* set_quant_plan(const quant::QuantPlan* plan);
 
-  /// Per-node execution routes (exec_plan.hpp): nodes routed kCsr or
-  /// kSubmanifold execute the gather sparse kernels on a COO activation
-  /// carrier (the int8 sparse kernels when the node is also in the quant
-  /// plan), every other node runs the dense path. The plan is non-owning
-  /// and must outlive its installation; the whole plan is validated
-  /// before any state changes (routes only on conv-shaped zero-bias
-  /// nodes; kSubmanifold additionally requires stride-1 same-extent
-  /// geometry). nullptr restores all-dense execution. While an
+  /// Per-node execution routes (exec_plan.hpp): nodes routed kCsr
+  /// execute the gather sparse kernels on a COO activation carrier (the
+  /// int8 sparse kernels when the node is also in the quant plan), every
+  /// other node runs the dense path. The plan is non-owning and must
+  /// outlive its installation; the whole plan is validated before any
+  /// state changes (routes only on conv-shaped zero-bias nodes). nullptr
+  /// restores all-dense execution. While an
   /// activation hook is installed, every node runs dense (hooks observe
   /// and may mutate dense activations). Returns the previously installed
   /// plan for scoped save/restore.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "nn/engine.hpp"
 
@@ -13,7 +12,6 @@ using sparse::DenseTensor;
 std::string to_string(Route route) {
   switch (route) {
     case Route::kDense: return "dense";
-    case Route::kSubmanifold: return "submanifold";
     case Route::kCsr: return "csr";
   }
   return "?";
@@ -42,24 +40,6 @@ bool ExecutionPlan::density_in_band(double live_density,
          live_density <= probe_input_density * band;
 }
 
-std::string ExecutionPlan::describe(const NetworkSpec& spec) const {
-  std::string out = spec.name + " execution plan (probe input density " +
-                    std::to_string(probe_input_density) + "):\n";
-  for (const LayerNode& node : spec.graph.nodes()) {
-    const auto idx = static_cast<std::size_t>(node.id);
-    if (idx >= route.size() || route[idx] == Route::kDense) continue;
-    const auto pidx = node.parents.empty()
-                          ? output_density.size()
-                          : static_cast<std::size_t>(node.parents.front());
-    const double d_in = pidx < output_density.size() ? output_density[pidx]
-                                                     : 1.0;
-    out += "  " + std::to_string(node.id) + " " + node.spec.name + " -> " +
-           to_string(route[idx]) + " (input density " + std::to_string(d_in) +
-           ")\n";
-  }
-  return out;
-}
-
 namespace {
 
 /// Kinds the sparse routes can execute: the conv whose synaptic input is
@@ -76,12 +56,35 @@ namespace {
                      [](float x) { return x == 0.0f; });
 }
 
-/// True when the layer satisfies the submanifold geometry contract
-/// (stride 1, output extent == input extent).
-[[nodiscard]] bool submanifold_geometry_ok(const LayerSpec& ls) noexcept {
-  return ls.conv.stride == 1 && ls.out_shape.h == ls.in_shape.h &&
-         ls.out_shape.w == ls.in_shape.w;
-}
+// Crossover cost constants, in dense-GEMM-MAC units, fit to
+// single-core measurements of the gather kernels on real engine
+// activations at DAVIS346 scale (see bench_sparse_engine): the packed
+// 8-wide tap reduction runs at ~2x the per-MAC cost of dense GEMM, while
+// the branchy bookkeeping around it (tap enumeration, output-entry
+// emission, boundary scans) costs tens of MAC units per element. The
+// resulting crossover routes event-input layers and low-rate spiking
+// stages sparse and leaves ReLU-dense decoders alone.
+
+/// Per-MAC cost of the gather tap reduction relative to dense GEMM.
+constexpr double kReduceCostFactor = 2.2;
+/// Per-MAC cost of the dense-output scatter kernel (the route narrow
+/// spiking convs take: their LIF consumer needs dense current, so the
+/// engine scatters straight into the staging tensor with no COO
+/// materialization or per-site bookkeeping).
+constexpr double kScatterCostFactor = 3.0;
+/// Cost per bookkeeping element: tap enumeration (one per input non-zero
+/// x kernel tap) and potential output-entry emission (one per active
+/// site x output channel).
+constexpr double kOverheadCostFactor = 25.0;
+/// Cost per element of sparsifying a dense parent at a chain head.
+constexpr double kSparsifyCostPerElement = 8.0;
+/// Cost per element of densifying the output at a route exit.
+constexpr double kDensifyCostPerElement = 2.0;
+/// Sparse must win by this factor to be chosen — hysteresis against
+/// noisy density estimates AND against the model's own error on
+/// marginal layers: a mispredicted marginal route costs real time, while
+/// a skipped marginal win costs almost nothing.
+constexpr double kMargin = 1.35;
 
 /// The dense-vs-sparse crossover, mirroring core/inference_cost's
 /// per-layer route comparison with the measured kernel cost structure:
@@ -91,7 +94,7 @@ namespace {
 /// (~nnz x k^2), output-entry emission (~active sites x Cout) — plus
 /// the representation-boundary scans.
 [[nodiscard]] bool sparse_wins(const LayerSpec& ls, double d_in,
-                               bool chain_head, const PlannerOptions& opt) {
+                               bool chain_head) {
   d_in = std::clamp(d_in, 0.0, 1.0);
   const double dense_macs = static_cast<double>(ls.macs());
   if (dense_macs <= 0.0) return false;
@@ -110,9 +113,9 @@ namespace {
                         static_cast<double>(ls.conv.stride));
     const double scatter_macs = d_in * in_elems * k2s *
                                 static_cast<double>(ls.conv.out_channels);
-    double cost = opt.scatter_cost_factor * scatter_macs;
-    if (chain_head) cost += opt.sparsify_cost_per_element * in_elems;
-    return opt.margin * cost < dense_macs;
+    double cost = kScatterCostFactor * scatter_macs;
+    if (chain_head) cost += kSparsifyCostPerElement * in_elems;
+    return kMargin * cost < dense_macs;
   }
   const double in_pixels = static_cast<double>(ls.in_shape.h) *
                            static_cast<double>(ls.in_shape.w);
@@ -143,65 +146,12 @@ namespace {
   // dense (chain head), and densifying the output (charged always —
   // conservative, since the consumer's route is not known yet; spiking
   // layers always densify for the LIF update).
-  double boundary = opt.densify_cost_per_element * out_elems;
-  if (chain_head) boundary += opt.sparsify_cost_per_element * in_elems;
+  double boundary = kDensifyCostPerElement * out_elems;
+  if (chain_head) boundary += kSparsifyCostPerElement * in_elems;
   const double sparse_cost =
-      opt.margin * (opt.reduce_cost_factor * reduce_macs +
-                    opt.overhead_cost_factor * overhead + boundary);
+      kMargin * (kReduceCostFactor * reduce_macs +
+                 kOverheadCostFactor * overhead + boundary);
   return sparse_cost < dense_macs;
-}
-
-/// Shared planning core over a filled output_density table.
-[[nodiscard]] ExecutionPlan plan_impl(const FunctionalNetwork& net,
-                                      std::vector<double> output_density,
-                                      double probe_input_density,
-                                      const PlannerOptions& options,
-                                      bool event_input_parents_only) {
-  const NetworkSpec& spec = net.spec();
-  const std::size_t n = spec.graph.size();
-  if (output_density.size() != n) {
-    throw std::invalid_argument(
-        "ExecutionPlanner: density table size mismatch");
-  }
-  ExecutionPlan plan;
-  plan.route.assign(n, Route::kDense);
-  plan.output_density = std::move(output_density);
-  plan.probe_input_density = probe_input_density;
-
-  const int event_input = spec.graph.input_ids().front();
-  for (const LayerNode& node : spec.graph.nodes()) {
-    const auto idx = static_cast<std::size_t>(node.id);
-    const LayerSpec& ls = node.spec;
-    if (!routable_kind(ls.kind) || node.parents.size() != 1) continue;
-    const int parent = node.parents.front();
-    if (event_input_parents_only && parent != event_input) continue;
-    // The CSR kernels add bias at active sites only; zero bias is what
-    // makes the sparse routes numerically identical to dense execution.
-    if (!all_zero(net.bias(node.id))) continue;
-    const auto pidx = static_cast<std::size_t>(parent);
-    const double d_in = plan.output_density[pidx];
-    // Chain head: the parent's carrier is dense unless the parent is a
-    // plain conv that was itself routed sparse (spiking outputs always
-    // materialize densely through the LIF state).
-    const bool parent_chains =
-        plan.route[pidx] != Route::kDense &&
-        spec.graph.node(parent).spec.kind == LayerKind::kConv;
-    if (!sparse_wins(ls, d_in, /*chain_head=*/!parent_chains, options)) {
-      continue;
-    }
-    // Narrow spiking convs were approved on the scatter-route cost model
-    // and must stay kCsr so the engine's scatter dispatch (and its
-    // dense-exact numerics) actually applies — kSubmanifold would run
-    // the gather+densify path the approval never costed.
-    const bool scatter_snn = domain_of(ls.kind) == Domain::kSnn &&
-                             scatter_current_route(ls.conv);
-    plan.route[idx] = options.allow_submanifold && !scatter_snn &&
-                              submanifold_geometry_ok(ls)
-                          ? Route::kSubmanifold
-                          : Route::kCsr;
-  }
-  plan.tiles = build_tile_plan(spec, plan, options.tile);
-  return plan;
 }
 
 }  // namespace
@@ -287,40 +237,23 @@ TilePlan build_tile_plan(const NetworkSpec& spec, const ExecutionPlan& plan,
   return tiles;
 }
 
-ExecutionPlan ExecutionPlanner::plan_from_densities(
-    const FunctionalNetwork& net, std::span<const double> output_density,
-    double probe_input_density, const PlannerOptions& options) {
-  return plan_impl(net,
-                   std::vector<double>(output_density.begin(),
-                                       output_density.end()),
-                   probe_input_density, options,
-                   /*event_input_parents_only=*/false);
-}
-
-ExecutionPlan ExecutionPlanner::calibrate(FunctionalNetwork& net,
-                                          std::span<const ProbeInput> probes,
-                                          const PlannerOptions& options) {
-  if (probes.empty()) {
-    throw std::invalid_argument("ExecutionPlanner::calibrate: no probes");
-  }
+std::vector<double> measure_output_densities(
+    FunctionalNetwork& net, std::span<const DenseTensor> event_steps,
+    const DenseTensor* image) {
   const NetworkSpec& spec = net.spec();
   const std::size_t n = spec.graph.size();
   std::vector<double> acc(n, 0.0);
   std::vector<std::size_t> hits(n, 0);
 
-  // Scoped density hook: accumulates mean non-zero fraction per node over
-  // every probe timestep, then always restores the caller's hook (the
-  // hook also forces the warmup runs dense, so an already-installed
-  // execution plan cannot skew its own calibration).
+  // Scoped density hook: accumulates the non-zero fraction per node over
+  // every probe timestep, then always restores the caller's hook.
   FunctionalNetwork::ActivationHook previous = net.set_activation_hook(
       [&acc, &hits](int node_id, DenseTensor& activation) {
         acc[static_cast<std::size_t>(node_id)] += activation.density();
         ++hits[static_cast<std::size_t>(node_id)];
       });
   try {
-    for (const ProbeInput& probe : probes) {
-      (void)net.run(probe.event_steps, probe.image);
-    }
+    (void)net.run(event_steps, image);
   } catch (...) {
     net.set_activation_hook(std::move(previous));
     throw;
@@ -331,48 +264,55 @@ ExecutionPlan ExecutionPlanner::calibrate(FunctionalNetwork& net,
   for (std::size_t i = 0; i < n; ++i) {
     if (hits[i] > 0) density[i] = acc[i] / static_cast<double>(hits[i]);
   }
-  // Input nodes never fire the hook; measure them from the probe tensors.
+  // Input nodes never fire the hook; measure them from the probe tensors
+  // (run() accepted one step per timestep, and an image when the network
+  // has a second input).
   const auto input_ids = spec.graph.input_ids();
   double event_acc = 0.0;
-  std::size_t event_hits = 0;
-  double image_acc = 0.0;
-  std::size_t image_hits = 0;
-  for (const ProbeInput& probe : probes) {
-    for (const DenseTensor& step : probe.event_steps) {
-      event_acc += step.density();
-      ++event_hits;
-    }
-    if (probe.image != nullptr) {
-      image_acc += probe.image->density();
-      ++image_hits;
-    }
-  }
-  const double event_density =
-      event_hits > 0 ? event_acc / static_cast<double>(event_hits) : 0.0;
-  density[static_cast<std::size_t>(input_ids.front())] = event_density;
+  for (const DenseTensor& step : event_steps) event_acc += step.density();
+  density[static_cast<std::size_t>(input_ids.front())] =
+      event_acc / static_cast<double>(event_steps.size());
   if (input_ids.size() > 1) {
-    density[static_cast<std::size_t>(input_ids.back())] =
-        image_hits > 0 ? image_acc / static_cast<double>(image_hits) : 1.0;
+    density[static_cast<std::size_t>(input_ids.back())] = image->density();
   }
-  return plan_impl(net, std::move(density), event_density, options,
-                   /*event_input_parents_only=*/false);
+  return density;
 }
 
 ExecutionPlan ExecutionPlanner::calibrate(
-    FunctionalNetwork& net, std::span<const sparse::DenseTensor> event_steps,
-    const sparse::DenseTensor* image, const PlannerOptions& options) {
-  const ProbeInput probe{event_steps, image};
-  return calibrate(net, std::span<const ProbeInput>(&probe, 1), options);
-}
-
-ExecutionPlan ExecutionPlanner::cold_start(const FunctionalNetwork& net,
-                                           const PlannerOptions& options) {
+    FunctionalNetwork& net, std::span<const DenseTensor> event_steps,
+    const DenseTensor* image, const PlannerOptions& options) {
   const NetworkSpec& spec = net.spec();
-  std::vector<double> density(spec.graph.size(), 1.0);
-  density[static_cast<std::size_t>(spec.graph.input_ids().front())] =
-      options.cold_start_input_density;
-  return plan_impl(net, std::move(density), options.cold_start_input_density,
-                   options, /*event_input_parents_only=*/true);
+  ExecutionPlan plan;
+  plan.route.assign(spec.graph.size(), Route::kDense);
+  plan.output_density = measure_output_densities(net, event_steps, image);
+  plan.probe_input_density = plan.output_density[static_cast<std::size_t>(
+      spec.graph.input_ids().front())];
+
+  for (const LayerNode& node : spec.graph.nodes()) {
+    const auto idx = static_cast<std::size_t>(node.id);
+    const LayerSpec& ls = node.spec;
+    if (!routable_kind(ls.kind) || node.parents.size() != 1) continue;
+    // The CSR kernels add bias at active sites only; zero bias is what
+    // makes the sparse route numerically identical to dense execution.
+    if (!all_zero(net.bias(node.id))) continue;
+    const int parent = node.parents.front();
+    const auto pidx = static_cast<std::size_t>(parent);
+    // Chain head: the model charges a sparsify unless the parent is a
+    // plain conv that was itself routed sparse. A sparse-routed spiking
+    // parent hands its spikes on in COO form too (the chain walker
+    // carries them), so this over-charges chains behind spiking layers —
+    // a known drift of the fixed model, kept so the routes it produces
+    // stay stable until measured planning replaces it.
+    const bool parent_chains =
+        plan.route[pidx] != Route::kDense &&
+        spec.graph.node(parent).spec.kind == LayerKind::kConv;
+    if (sparse_wins(ls, plan.output_density[pidx],
+                    /*chain_head=*/!parent_chains)) {
+      plan.route[idx] = Route::kCsr;
+    }
+  }
+  plan.tiles = build_tile_plan(spec, plan, options.tile);
+  return plan;
 }
 
 }  // namespace evedge::nn

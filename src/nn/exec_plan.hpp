@@ -5,27 +5,22 @@
 // promoted to a first-class runtime artifact the engine executes.
 //
 // An ExecutionPlan assigns every node a Route:
-//   kDense        the conventional dense kernels (conv2d / int8_conv2d)
-//   kCsr          the gather/CSR sparse kernels (sparse_conv2d_csr and,
-//                 on quantized layers, int8_sparse_conv2d_csr). Output
-//                 stays in COO form, so consecutive kCsr layers chain
-//                 densify-free ("fused CSR chains"). With the engine's
-//                 zero-bias layers this route is bitwise identical to
-//                 dense execution everywhere (the stored sites carry the
-//                 dense values; unreached sites are exact zeros in both).
-//   kSubmanifold  Graham-style submanifold convolution: output restricted
-//                 to the union of input active sites. Bitwise identical
-//                 to the dense path AT STORED SITES but drops the halo
-//                 sites a dense conv would populate — a deliberate
-//                 semantic change (the standard sparse-SNN operator), so
-//                 the planner only selects it when explicitly allowed.
+//   kDense  the conventional dense kernels (conv2d / int8_conv2d)
+//   kCsr    the gather/CSR sparse kernels (sparse_conv2d_csr and, on
+//           quantized layers, int8_sparse_conv2d_csr). Output stays in
+//           COO form, so consecutive kCsr layers chain densify-free
+//           ("fused CSR chains"). With the engine's zero-bias layers
+//           this route is bitwise identical to dense execution
+//           everywhere (the stored sites carry the dense values;
+//           unreached sites are exact zeros in both).
 //
-// The ExecutionPlanner chooses routes from measured spiking activation
-// densities (calibrate: warmup runs through an activation hook) or from a
-// density profile supplied by the analytical cost model
-// (core::seed_execution_plan wraps core/inference_cost's probe as the
-// cold-start default). The crossover model mirrors the cost model's
-// dense-vs-sparse comparison with constants fit to BENCH_kernels.json.
+// ExecutionPlanner::calibrate is the one planning entry. It measures
+// per-node activation densities on a probe input with
+// measure_output_densities (a dense warmup run through an activation
+// hook — the same probe core::measure_activation_densities feeds the
+// analytical cost model), then routes each layer by a dense-vs-sparse
+// crossover whose cost constants are fixed, fit once to single-core
+// kernel measurements (see exec_plan.cpp).
 
 #include <cstdint>
 #include <span>
@@ -40,7 +35,7 @@ namespace evedge::nn {
 class FunctionalNetwork;
 
 /// Per-node execution route (see file comment for semantics).
-enum class Route : std::uint8_t { kDense, kSubmanifold, kCsr };
+enum class Route : std::uint8_t { kDense, kCsr };
 
 [[nodiscard]] std::string to_string(Route route);
 
@@ -105,7 +100,7 @@ struct ExecutionPlan {
   /// True when `live_density` lies inside this plan's calibration band
   /// [probe/band, probe*band] around probe_input_density (band >= 1).
   /// The serving runtime re-calibrates a worker's plan when the live
-  /// input density leaves the band (DSFA tracks the drift signal): the
+  /// input density (the adapted event tensor's) leaves the band: the
   /// routes were chosen for the probe's density regime and go stale when
   /// the scene changes. A plan probed at density 0 (or with no recorded
   /// probe density) is in band exactly when the live density is 0.
@@ -116,8 +111,6 @@ struct ExecutionPlan {
     const auto idx = static_cast<std::size_t>(node_id);
     return node_id >= 0 && idx < route.size() ? route[idx] : Route::kDense;
   }
-  /// Human-readable route table (bench/debug output).
-  [[nodiscard]] std::string describe(const NetworkSpec& spec) const;
 };
 
 /// Finds the sparse chains of `plan` over `spec` and chooses tile
@@ -130,43 +123,12 @@ struct ExecutionPlan {
                                        const ExecutionPlan& plan,
                                        const TileOptions& options = {});
 
-/// Planner policy knobs. All cost constants are in dense-GEMM-MAC
-/// units, fit to single-core measurements of the gather kernels on real
-/// engine activations at DAVIS346 scale (see bench_sparse_engine): the
-/// packed 8-wide tap reduction runs at ~2x the per-MAC cost of dense
-/// GEMM, while the branchy bookkeeping around it (tap enumeration,
-/// output-entry emission, boundary scans) costs tens of MAC units per
-/// element. The resulting crossover routes event-input layers and
-/// low-rate spiking stages sparse and leaves ReLU-dense decoders alone.
+/// Planner policy. The crossover's cost constants are fixed (see
+/// exec_plan.cpp); only the tile geometry of the chosen routes is a
+/// policy.
 struct PlannerOptions {
-  /// Per-MAC cost of the gather tap reduction relative to dense GEMM.
-  double reduce_cost_factor = 2.2;
-  /// Per-MAC cost of the dense-output scatter kernel (the route spiking
-  /// convs take: their LIF consumer needs dense current, so the engine
-  /// scatters straight into the staging tensor with no COO
-  /// materialization or per-site bookkeeping).
-  double scatter_cost_factor = 3.0;
-  /// Cost per bookkeeping element: tap enumeration (one per input
-  /// non-zero x kernel tap) and potential output-entry emission (one per
-  /// active site x output channel).
-  double overhead_cost_factor = 25.0;
-  /// Cost per element of sparsifying a dense parent at a chain head.
-  double sparsify_cost_per_element = 8.0;
-  /// Cost per element of densifying the output at a route exit.
-  double densify_cost_per_element = 2.0;
-  /// Sparse must win by this factor to be chosen — hysteresis against
-  /// noisy density estimates AND against the model's own error on
-  /// marginal layers: a mispredicted marginal route costs real time,
-  /// while a skipped marginal win costs almost nothing.
-  double margin = 1.35;
-  /// Permit kSubmanifold for eligible stride-1 layers. Off by default:
-  /// submanifold restricts the active set (stored-site-exact only),
-  /// while kCsr preserves dense numerics exactly.
-  bool allow_submanifold = false;
-  /// Input density assumed by cold_start() before any measurement.
-  double cold_start_input_density = 0.02;
   /// Tile-geometry policy handed to build_tile_plan for the routes the
-  /// planner chooses (every planner entry point attaches a TilePlan).
+  /// planner chooses.
   TileOptions tile;
 };
 
@@ -181,43 +143,27 @@ struct PlannerOptions {
   return conv.out_channels <= 32;
 }
 
-/// One calibration input (non-owning views over caller tensors).
-struct ProbeInput {
-  std::span<const sparse::DenseTensor> event_steps;
-  const sparse::DenseTensor* image = nullptr;
-};
+/// Mean OUTPUT density per node id over one dense run of the probe
+/// (`event_steps`, plus `image` on two-input networks) through a scoped
+/// activation hook; the hook also forces the run dense, so an installed
+/// execution plan cannot skew its own measurement, and the caller's hook
+/// is restored afterwards. Input nodes never fire the hook: the event
+/// input gets the mean density of `event_steps`, a second input the
+/// image's density. Nodes the run never reaches keep 1.0.
+[[nodiscard]] std::vector<double> measure_output_densities(
+    FunctionalNetwork& net, std::span<const sparse::DenseTensor> event_steps,
+    const sparse::DenseTensor* image = nullptr);
 
 class ExecutionPlanner {
  public:
-  /// Builds a plan from per-node OUTPUT densities (indexed by node id;
-  /// e.g. core::ActivationDensityProfile::density). `net` supplies the
-  /// graph and the bias vectors (sparse routes require zero bias — the
-  /// CSR kernels add bias at active sites only).
-  [[nodiscard]] static ExecutionPlan plan_from_densities(
-      const FunctionalNetwork& net, std::span<const double> output_density,
-      double probe_input_density, const PlannerOptions& options = {});
-
-  /// Measures per-node activation densities over `probes` (dense warmup
-  /// runs through a scoped activation hook; the caller's hook and any
-  /// installed plan are untouched) and plans from them.
-  [[nodiscard]] static ExecutionPlan calibrate(
-      FunctionalNetwork& net, std::span<const ProbeInput> probes,
-      const PlannerOptions& options = {});
-
-  /// Convenience single-probe calibration.
+  /// Measures per-node densities on the probe (measure_output_densities)
+  /// and routes every zero-bias, single-parent conv whose sparse cost
+  /// beats dense by the crossover model; attaches build_tile_plan's
+  /// geometry for the chosen routes.
   [[nodiscard]] static ExecutionPlan calibrate(
       FunctionalNetwork& net, std::span<const sparse::DenseTensor> event_steps,
       const sparse::DenseTensor* image = nullptr,
       const PlannerOptions& options = {});
-
-  /// Cold-start plan with no measurements: only layers reading the raw
-  /// event input (whose density options.cold_start_input_density states)
-  /// are considered for sparse routes; deeper layers stay dense until a
-  /// calibrate() pass measures their real activity. This is the
-  /// analytical default core::seed_execution_plan refines with the cost
-  /// model's probe densities.
-  [[nodiscard]] static ExecutionPlan cold_start(
-      const FunctionalNetwork& net, const PlannerOptions& options = {});
 };
 
 }  // namespace evedge::nn

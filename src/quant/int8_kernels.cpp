@@ -676,9 +676,10 @@ std::vector<CooChannel> int8_gather_conv(std::span<const CooChannel> input,
 std::vector<CooChannel> int8_submanifold_conv2d(
     std::span<const CooChannel> input, const Int8ConvWeights& weights,
     std::span<const float> bias, Int8Scale input_scale, ConvWork* work,
-    Workspace* workspace, const sparse::RowWindow* window) {
+    Workspace* workspace) {
   return int8_gather_conv(input, weights, bias, input_scale,
-                          /*submanifold=*/true, work, workspace, window);
+                          /*submanifold=*/true, work, workspace,
+                          /*window=*/nullptr);
 }
 
 std::vector<CooChannel> int8_sparse_conv2d_csr(

@@ -41,7 +41,8 @@ struct ReadyFrame {
   int stream_id = -1;
   std::int64_t seq = -1;  ///< per-stream dispatch index (0, 1, ...)
   sparse::SparseFrame frame;
-  /// DSFA's recent-density EMA at dispatch time (the drift signal).
+  /// DSFA's recent-density EMA at dispatch time (telemetry; planner
+  /// re-calibration reads the adapted tensor's density, not this).
   double ingress_density = 0.0;
   /// First queue admission; preserved across requeues so SLO age and
   /// reported latency span the frame's whole time in the system.

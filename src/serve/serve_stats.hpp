@@ -228,7 +228,7 @@ struct StreamServeStats {
   bool ingress_failed = false;  ///< the ingress thread died mid-stream
   std::string failure_reason;   ///< first ingress failure (empty otherwise)
   double mean_frame_density = 0.0;  ///< mean merged-frame spatial density
-  double last_ingress_density = 0.0;  ///< DSFA recent_density() at stream end
+  double last_ingress_density = 0.0;  ///< DSFA EMA at stream end (telemetry)
   LatencyReservoir latency;     ///< enqueue -> inference completion
 
   // SLO burn-rate accounting (all zero unless SloConfig::deadline_ms >

@@ -6,8 +6,8 @@
 // intervals are E2SF-binned, the resulting sparse frames staged through
 // a per-stream DSFA, and every dispatched merged frame passes one
 // admission function into the shared FrameQueue as a ReadyFrame
-// carrying the stream id, per-stream dispatch index, and DSFA's live
-// density signal (the planner-drift input downstream).
+// carrying the stream id, per-stream dispatch index, and DSFA's
+// recent-density EMA (telemetry).
 //
 // Only the event source differs:
 //   - in-process: an EventStream handed to the core whole, end of

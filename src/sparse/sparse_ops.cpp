@@ -874,16 +874,6 @@ std::vector<SparseSample> sparse_conv2d_csr_batch(
                            work, workspace, threading, packed_weights);
 }
 
-std::vector<SparseSample> submanifold_conv2d_batch_window(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,
-    ConvWork* work, Workspace* workspace, SubmanifoldThreading threading,
-    std::span<const float> packed_weights) {
-  return gather_conv_batch(inputs, weights, bias, spec, /*submanifold=*/true,
-                           work, workspace, threading, packed_weights,
-                           &window);
-}
-
 std::vector<SparseSample> sparse_conv2d_csr_batch_window(
     std::span<const SparseSample> inputs, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,

@@ -158,16 +158,8 @@ void sparse_conv2d_batch_into(std::span<const SparseSample> inputs,
 // CooChannel row index (rows_span), so each input channel's row_ptr()
 // cache is built by the worker that owns the sample.
 
-/// Windowed submanifold_conv2d_batch: result[i] holds exactly the
+/// Windowed sparse_conv2d_csr_batch: result[i] holds exactly the
 /// window-row entries of the full-plane call, full-plane extents kept.
-[[nodiscard]] std::vector<SparseSample> submanifold_conv2d_batch_window(
-    std::span<const SparseSample> inputs, const DenseTensor& weights,
-    std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,
-    ConvWork* work = nullptr, Workspace* workspace = nullptr,
-    SubmanifoldThreading threading = SubmanifoldThreading::kAuto,
-    std::span<const float> packed_weights = {});
-
-/// Windowed sparse_conv2d_csr_batch (same contract as above).
 [[nodiscard]] std::vector<SparseSample> sparse_conv2d_csr_batch_window(
     std::span<const SparseSample> inputs, const DenseTensor& weights,
     std::span<const float> bias, const Conv2dSpec& spec, RowWindow window,

@@ -252,6 +252,7 @@ void PacketFramer::feed(const void* data, std::size_t n) {
 void PacketFramer::reset() noexcept {
   buffer_.clear();
   pos_ = 0;
+  in_garbage_ = false;
 }
 
 void PacketFramer::compact() {
@@ -263,14 +264,17 @@ void PacketFramer::compact() {
 
 std::optional<Framed> PacketFramer::next() {
   // Resynchronize: skip to the next magic. A contiguous run of garbage
-  // (or an abandoned false sync) counts as ONE kBadMagic rejection so
-  // hostile bytes cannot inflate counters without bound.
+  // (or an abandoned false sync) counts as ONE kBadMagic rejection, at
+  // its first skipped byte, however feed() splits the run — so hostile
+  // bytes cannot inflate counters without bound, and the Framed
+  // sequence depends on the bytes only, not on how they arrive.
   std::size_t skipped = 0;
   while (buffer_.size() - pos_ >= 4 &&
          std::memcmp(buffer_.data() + pos_, kMagic, 4) != 0) {
     ++pos_;
     ++skipped;
   }
+  const bool run_open = in_garbage_;
   if (buffer_.size() - pos_ < 4) {
     // Fewer than 4 bytes left: they may be a magic prefix — keep them.
     while (buffer_.size() - pos_ > 0 &&
@@ -280,10 +284,14 @@ std::optional<Framed> PacketFramer::next() {
       ++skipped;
     }
     compact();
-    if (skipped > 0) return Framed{PacketError::kBadMagic, {}, {}};
-    return std::nullopt;
+    if (skipped == 0 || run_open) return std::nullopt;
+    in_garbage_ = true;  // the run may continue in the next feed()
+    return Framed{PacketError::kBadMagic, {}, {}};
   }
-  if (skipped > 0) return Framed{PacketError::kBadMagic, {}, {}};
+  in_garbage_ = false;  // at a magic: any garbage run ends here
+  if (skipped > 0 && !run_open) {
+    return Framed{PacketError::kBadMagic, {}, {}};
+  }
 
   if (buffer_.size() - pos_ < kHeaderBytes) return std::nullopt;
   const std::uint8_t* h = buffer_.data() + pos_;

@@ -201,7 +201,9 @@ class TimestampUnwrapper {
 /// Tolerates arbitrary garbage: unknown bytes, truncated packets and
 /// CRC failures surface as Framed rejections while the framer
 /// resynchronizes on the next magic. next() returns std::nullopt when
-/// more bytes are needed.
+/// more bytes are needed. The Framed sequence is a function of the
+/// bytes alone: any split of the same bytes into feed() calls yields
+/// the same sequence.
 class PacketFramer {
  public:
   void feed(const void* data, std::size_t n);
@@ -221,6 +223,9 @@ class PacketFramer {
 
   std::vector<std::uint8_t> buffer_;
   std::size_t pos_ = 0;
+  /// A garbage run reached the end of the buffered bytes: its kBadMagic
+  /// is already reported, so bytes skipped in later feeds extend it.
+  bool in_garbage_ = false;
 };
 
 }  // namespace evedge::wire

@@ -1,14 +1,12 @@
 // Density-adaptive execution planner + route-dispatched engine tests:
 // zoo-wide bitwise parity of planner-routed run()/run_batched() against
-// dense execution, CSR chain boundary accounting, submanifold stored-site
-// semantics, density telemetry agreement (hook, firing rate, thread
-// counts), plan validation atomicity, int8 composition and the
-// cost-model cold-start bridge.
+// dense execution, CSR chain boundary accounting, density telemetry
+// agreement (hook, firing rate, thread counts, the cost model's shared
+// probe), plan validation atomicity and int8 composition.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <set>
 #include <vector>
 
 #include "core/batch_executor.hpp"
@@ -267,115 +265,6 @@ TEST(ExecutionPlan, CsrChainCrossesBoundariesOnlyAtEnds) {
   net.set_execution_plan(nullptr);
 }
 
-// ------------------------------------------------- submanifold semantics
-
-// kSubmanifold restricts outputs to the input active union: stored sites
-// carry exactly the dense values, halo sites are dropped to zero.
-TEST(ExecutionPlan, SubmanifoldRouteIsStoredSiteExact) {
-  en::NetworkSpec spec;
-  spec.name = "subm1";
-  spec.n_bins = 1;
-  spec.timesteps = 1;
-  en::LayerSpec conv;
-  conv.name = "c";
-  conv.kind = en::LayerKind::kConv;
-  conv.conv = es::Conv2dSpec{2, 6, 3, 1, 1};
-  conv.relu_after = false;
-  const int in = spec.graph.add_input("events", en::TensorShape{1, 2, 24, 30});
-  const int c = spec.graph.add_layer(conv, {in});
-  en::LayerSpec out;
-  out.name = "out";
-  out.kind = en::LayerKind::kOutput;
-  spec.graph.add_layer(out, {c});
-  spec.graph.validate();
-
-  en::FunctionalNetwork net(spec, 3);
-  const auto probe = make_probe(spec, 51, 0.03);
-  const auto dense_out = net.run(probe.steps);
-
-  en::ExecutionPlan plan = all_csr_plan(spec, {});
-  plan.route[static_cast<std::size_t>(c)] = en::Route::kSubmanifold;
-  net.set_execution_plan(&plan);
-  const auto routed_out = net.run(probe.steps);
-  net.set_execution_plan(nullptr);
-
-  // Active union over both input channels.
-  std::set<std::pair<int, int>> active;
-  const auto& step = probe.steps[0];
-  for (int ch = 0; ch < 2; ++ch) {
-    for (int y = 0; y < step.shape().h; ++y) {
-      for (int x = 0; x < step.shape().w; ++x) {
-        if (step.at(0, ch, y, x) != 0.0f) active.insert({y, x});
-      }
-    }
-  }
-  ASSERT_FALSE(active.empty());
-  std::size_t halo_dropped = 0;
-  for (int oc = 0; oc < 6; ++oc) {
-    for (int y = 0; y < routed_out.shape().h; ++y) {
-      for (int x = 0; x < routed_out.shape().w; ++x) {
-        if (active.contains({y, x})) {
-          EXPECT_EQ(routed_out.at(0, oc, y, x), dense_out.at(0, oc, y, x));
-        } else {
-          EXPECT_EQ(routed_out.at(0, oc, y, x), 0.0f);
-          if (dense_out.at(0, oc, y, x) != 0.0f) ++halo_dropped;
-        }
-      }
-    }
-  }
-  // The semantic difference is real: dense populated halo sites.
-  EXPECT_GT(halo_dropped, 0u);
-}
-
-// The planner only emits kSubmanifold when explicitly allowed — and
-// never for narrow spiking convs, whose approval used the scatter-route
-// cost model (they stay kCsr so the engine's scatter dispatch applies).
-TEST(ExecutionPlanner, SubmanifoldRequiresOptIn) {
-  // A stride-1 ANN conv on the sparse event input: submanifold-eligible.
-  en::NetworkSpec spec;
-  spec.name = "subm-opt-in";
-  spec.n_bins = 1;
-  spec.timesteps = 1;
-  en::LayerSpec conv;
-  conv.name = "c";
-  conv.kind = en::LayerKind::kConv;
-  conv.conv = es::Conv2dSpec{2, 8, 3, 1, 1};
-  const int in = spec.graph.add_input("events", en::TensorShape{1, 2, 32, 44});
-  const int c = spec.graph.add_layer(conv, {in});
-  en::LayerSpec out;
-  out.name = "out";
-  out.kind = en::LayerKind::kOutput;
-  spec.graph.add_layer(out, {c});
-  spec.graph.validate();
-
-  en::FunctionalNetwork net(spec, 7);
-  const auto probe = make_probe(spec, 61, 0.01);
-  const auto exact =
-      en::ExecutionPlanner::calibrate(net, probe.steps, nullptr);
-  for (const en::Route r : exact.route) {
-    EXPECT_NE(r, en::Route::kSubmanifold);
-  }
-  EXPECT_EQ(exact.route_of(c), en::Route::kCsr);
-  en::PlannerOptions opts;
-  opts.allow_submanifold = true;
-  const auto lossy =
-      en::ExecutionPlanner::calibrate(net, probe.steps, nullptr, opts);
-  EXPECT_EQ(lossy.route_of(c), en::Route::kSubmanifold);
-
-  // Narrow spiking convs keep kCsr even with the opt-in (DOTIE's
-  // isolate layer is k5 s1 p2, out_channels 1 — scatter-route costed).
-  const auto dotie = en::build_network(en::NetworkId::kDotie,
-                                      en::ZooConfig::test_scale());
-  en::FunctionalNetwork dotie_net(dotie, 7);
-  const auto dotie_probe = make_probe(dotie, 63, 0.01);
-  const auto dotie_plan = en::ExecutionPlanner::calibrate(
-      dotie_net, dotie_probe.steps, nullptr, opts);
-  for (const en::Route r : dotie_plan.route) {
-    EXPECT_NE(r, en::Route::kSubmanifold);
-  }
-  EXPECT_GT(dotie_plan.sparse_node_count(), 0);
-}
-
 // --------------------------------------------------- density telemetry
 
 // Planner density estimates must agree with densities computed directly
@@ -412,6 +301,20 @@ TEST(ExecutionPlanner, DensityTelemetryMatchesDirectMeasurement) {
           << node.spec.name;
     }
   }
+  // The cost model's density probe is the planner's: on the same
+  // weights and input it reports exactly calibrate()'s density on every
+  // spiking node (its ANN floor and input overrides aside).
+  const auto profile = ec::measure_activation_densities(spec, 7, 0.02, 71);
+  int spiking = 0;
+  for (const auto& node : spec.graph.nodes()) {
+    if (en::domain_of(node.spec.kind) != en::Domain::kSnn) continue;
+    const auto idx = static_cast<std::size_t>(node.id);
+    EXPECT_EQ(profile.density[idx], plan.output_density[idx])
+        << node.spec.name;
+    ++spiking;
+  }
+  EXPECT_GT(spiking, 0);
+
   // The event-input density is the probe's own fill.
   double input_acc = 0.0;
   for (const auto& step : probe.steps) input_acc += step.density();
@@ -448,11 +351,6 @@ TEST(ExecutionPlan, SetPlanValidatesAtomically) {
   en::ExecutionPlan bad = all_csr_plan(spec, {});
   bad.route.back() = en::Route::kCsr;
   EXPECT_THROW(net.set_execution_plan(&bad), std::invalid_argument);
-
-  // Submanifold on a strided encoder layer is rejected.
-  en::ExecutionPlan strided = all_csr_plan(spec, {});
-  strided.route[1] = en::Route::kSubmanifold;  // enc1: stride 2
-  EXPECT_THROW(net.set_execution_plan(&strided), std::invalid_argument);
 
   // Sparse route on a node with non-zero bias is rejected.
   en::ExecutionPlan biased = all_csr_plan(spec, {1});
@@ -533,45 +431,6 @@ TEST(ExecutionPlan, ComposesWithQuantPlan) {
   EXPECT_GT(net.last_exec_stats().sparse_node_runs, 0u);
   net.set_execution_plan(nullptr);
   EXPECT_EQ(net.execution_plan(), nullptr);
-}
-
-// -------------------------------------------------- cold start + bridge
-
-TEST(ExecutionPlanner, ColdStartRoutesOnlyEventInputLayers) {
-  const auto spec = en::build_network(en::NetworkId::kSpikeFlowNet,
-                                      en::ZooConfig::test_scale());
-  en::FunctionalNetwork net(spec, 7);
-  const auto plan = en::ExecutionPlanner::cold_start(net);
-  const int event_input = spec.graph.input_ids().front();
-  int routed = 0;
-  for (const auto& node : spec.graph.nodes()) {
-    const auto idx = static_cast<std::size_t>(node.id);
-    if (plan.route[idx] == en::Route::kDense) continue;
-    ++routed;
-    ASSERT_EQ(node.parents.size(), 1u);
-    EXPECT_EQ(node.parents.front(), event_input) << node.spec.name;
-  }
-  EXPECT_GT(routed, 0);
-  // Installable and bitwise neutral.
-  const auto probe = make_probe(spec, 13, 0.02);
-  const auto dense_out = net.run(probe.steps);
-  net.set_execution_plan(&plan);
-  EXPECT_EQ(es::max_abs_diff(net.run(probe.steps), dense_out), 0.0f);
-  net.set_execution_plan(nullptr);
-}
-
-TEST(ExecutionPlanner, CostModelSeedBridgesToPlan) {
-  const auto spec = en::build_network(en::NetworkId::kAdaptiveSpikeNet,
-                                      en::ZooConfig::test_scale());
-  const auto profile = ec::measure_activation_densities(spec, 7, 0.02);
-  en::FunctionalNetwork net(spec, 7);
-  const auto plan = ec::seed_execution_plan(net, profile);
-  EXPECT_GT(plan.sparse_node_count(), 0);
-  const auto probe = make_probe(spec, 17, 0.02);
-  const auto dense_out = net.run(probe.steps);
-  net.set_execution_plan(&plan);
-  EXPECT_EQ(es::max_abs_diff(net.run(probe.steps), dense_out), 0.0f);
-  net.set_execution_plan(nullptr);
 }
 
 // ----------------------------------------------- batch executor planner

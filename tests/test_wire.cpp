@@ -1,6 +1,7 @@
 // Wire-protocol test suite: EVWP packet encode/decode round trips, the
 // CRC-32 known-answer vector, framer resynchronization on hostile byte
-// streams, 32-bit timestamp-wrap edge cases (mid-packet, across a
+// streams (and a seeded mutation harness across feed() chunkings),
+// 32-bit timestamp-wrap edge cases (mid-packet, across a
 // reconnect resume, E2SF windows straddling a wrap), zero-length
 // packets, both transports (TCP loopback, shared-memory ring), the
 // go-back-N session layer under every NetFaultProxy fault type, the
@@ -16,8 +17,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -331,6 +337,332 @@ TEST(WireFramer, TruncatedTailWaitsForMoreBytes) {
   auto framed = framer.next();
   ASSERT_TRUE(framed.has_value());
   EXPECT_EQ(framed->error, ew::PacketError::kNone);
+}
+
+// ------------------------------------------------ hostile framer input
+
+namespace {
+
+/// One framing outcome, copied out of the framer (payload views die at
+/// the next feed()). `end` is the stream offset just past an accepted
+/// packet (0 for rejections, whose stopping point depends on chunking).
+struct FramedRecord {
+  ew::PacketError error = ew::PacketError::kNone;
+  ew::PacketHeader header{};
+  std::vector<std::uint8_t> payload;
+  std::size_t end = 0;
+
+  friend bool operator==(const FramedRecord& a, const FramedRecord& b) {
+    return a.error == b.error && a.header.version == b.header.version &&
+           a.header.type == b.header.type &&
+           a.header.event_count == b.header.event_count &&
+           a.header.session_id == b.header.session_id &&
+           a.header.seq == b.header.seq &&
+           a.header.t_base == b.header.t_base && a.payload == b.payload &&
+           a.end == b.end;
+  }
+};
+
+[[nodiscard]] std::uint32_t le_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Frames `bytes` fed in chunks of 1..max_chunk bytes (0 = one feed),
+/// draining next() after every feed. Checks the per-call invariants on
+/// the way: feeds buffer exactly what they add, every non-empty next()
+/// consumes at least one byte, a drained framer holds less than one
+/// maximal packet, and consumed + buffered bytes equal the bytes fed.
+/// `pending` receives the bytes still buffered at the end.
+std::vector<FramedRecord> frame_in_chunks(std::span<const std::uint8_t> bytes,
+                                          std::size_t max_chunk,
+                                          std::mt19937_64& rng,
+                                          std::size_t& pending) {
+  constexpr std::size_t kMaxPacket =
+      ew::kHeaderBytes + ew::kMaxEventsPerPacket * ew::kEventBytes;
+  ew::PacketFramer framer;
+  std::vector<FramedRecord> out;
+  std::size_t fed = 0;
+  std::size_t consumed = 0;
+  while (fed < bytes.size()) {
+    std::size_t n = bytes.size() - fed;
+    if (max_chunk > 0) n = std::min(n, 1 + rng() % max_chunk);
+    const std::size_t before = framer.buffered();
+    framer.feed(bytes.data() + fed, n);
+    fed += n;
+    EXPECT_EQ(framer.buffered(), before + n);
+    for (;;) {
+      const std::size_t held = framer.buffered();
+      const std::optional<ew::Framed> framed = framer.next();
+      EXPECT_LE(framer.buffered(), held);
+      consumed += held - framer.buffered();
+      if (!framed.has_value()) break;
+      EXPECT_LT(framer.buffered(), held) << "next() made no progress";
+      if (framer.buffered() >= held) break;
+      FramedRecord rec;
+      rec.error = framed->error;
+      rec.header = framed->header;
+      rec.payload.assign(framed->payload.begin(), framed->payload.end());
+      if (rec.error == ew::PacketError::kNone) rec.end = consumed;
+      out.push_back(std::move(rec));
+    }
+    EXPECT_LT(framer.buffered(), kMaxPacket) << "drained framer stuck";
+  }
+  EXPECT_EQ(consumed + framer.buffered(), bytes.size());
+  pending = framer.buffered();
+  return out;
+}
+
+}  // namespace
+
+// Seeded mutation harness: valid hello/data/heartbeat/eos streams are
+// bit-flipped (anywhere, and aimed at header fields), truncated, padded
+// with garbage (some of it carrying a false magic), and have byte ranges
+// deleted or duplicated; each result is framed whole, byte by byte and
+// in two seeded random chunkings. The framer must produce the same
+// Framed sequence for every chunking, frame every packet the mutations
+// left untouched exactly (unless the stream ends while the framer still
+// waits on a claimed length), accept only bytes with a valid CRC, and
+// reject only with the framer's typed errors; decode_events on accepted
+// data payloads must accept or reject kMalformedEvents. A quarter of
+// the data packets carry one event off the sensor, so accepted packets
+// exercise both decode outcomes.
+TEST(WireFramer, HostileStreamsFrameIdenticallyAcrossChunkings) {
+  constexpr std::uint16_t kWidth = 64;
+  constexpr std::uint16_t kHeight = 48;
+  constexpr std::uint32_t kSession = 0xC0FFEEu;
+  std::mt19937_64 rng(20261020);
+  std::map<ew::PacketError, int> framed_outcomes;
+  std::map<ew::PacketError, int> decode_outcomes;
+  std::size_t untouched_framed = 0;
+
+  for (int trial = 0; trial < 600; ++trial) {
+    // A valid stream, every packet's original byte range recorded.
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::pair<std::size_t, std::size_t>> packets;
+    const auto mark = [&](std::size_t begin) {
+      packets.emplace_back(begin, bytes.size());
+    };
+    const int data_packets = 8 + static_cast<int>(rng() % 16);
+    std::int64_t t = 1'000'000 + static_cast<std::int64_t>(rng() % 1000);
+    const std::int64_t epoch = t;
+    std::size_t begin = bytes.size();
+    ew::encode_hello(kSession,
+                     ew::StreamHeader{kWidth, kHeight, epoch,
+                                      epoch + 1'000'000,
+                                      static_cast<std::uint32_t>(data_packets)},
+                     bytes);
+    mark(begin);
+    for (int seq = 0; seq < data_packets; ++seq) {
+      std::vector<ee::Event> events(rng() % 40);
+      for (ee::Event& e : events) {
+        t += static_cast<std::int64_t>(rng() % 50);
+        e.x = static_cast<std::uint16_t>(rng() % kWidth);
+        e.y = static_cast<std::uint16_t>(rng() % kHeight);
+        e.t = t;
+        e.p = rng() % 2 == 0 ? ee::Polarity::kPositive
+                             : ee::Polarity::kNegative;
+      }
+      if (seq % 4 == 3 && !events.empty()) events.back().x = kWidth;
+      begin = bytes.size();
+      ew::encode_data(kSession, static_cast<std::uint32_t>(seq), events,
+                      bytes);
+      mark(begin);
+      if (rng() % 3 == 0) {
+        begin = bytes.size();
+        ew::encode_heartbeat(kSession, static_cast<std::uint32_t>(seq), t,
+                             bytes);
+        mark(begin);
+      }
+    }
+    begin = bytes.size();
+    ew::encode_eos(kSession, static_cast<std::uint32_t>(data_packets), t,
+                   bytes);
+    mark(begin);
+
+    // Mutations; origin[i] is byte i's offset in the valid stream, or -1
+    // once it is flipped, inserted or a duplicate.
+    std::vector<std::int64_t> origin(bytes.size());
+    std::iota(origin.begin(), origin.end(), std::int64_t{0});
+    const auto index_of = [&](std::int64_t offset) -> std::int64_t {
+      const auto it = std::find(origin.begin(), origin.end(), offset);
+      return it == origin.end() ? -1 : it - origin.begin();
+    };
+    const auto flip = [&](std::size_t at, int bit) {
+      bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+      origin[at] = -1;
+    };
+    const auto erase = [&](std::size_t from, std::size_t to) {
+      bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(from),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(to));
+      origin.erase(origin.begin() + static_cast<std::ptrdiff_t>(from),
+                   origin.begin() + static_cast<std::ptrdiff_t>(to));
+    };
+    const auto insert = [&](std::size_t at,
+                            const std::vector<std::uint8_t>& run) {
+      bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                   run.begin(), run.end());
+      origin.insert(origin.begin() + static_cast<std::ptrdiff_t>(at),
+                    run.size(), -1);
+    };
+    const int mutations = 2 + static_cast<int>(rng() % 6);
+    for (int m = 0; m < mutations && bytes.size() > 8; ++m) {
+      const auto& [p0, p1] = packets[rng() % packets.size()];
+      switch (rng() % 8) {
+        case 0:
+        case 1: {  // one header field: magic, version, type, count, rest
+          static constexpr std::size_t kFieldByte[] = {
+              0, 4, 4, 5, 5, 7, 7, 9, 14, 21};
+          const std::size_t off = kFieldByte[rng() % std::size(kFieldByte)];
+          const std::int64_t at = index_of(static_cast<std::int64_t>(p0 + off));
+          if (at >= 0) {
+            flip(static_cast<std::size_t>(at), static_cast<int>(rng() % 8));
+          }
+          break;
+        }
+        case 2:  // a bit anywhere
+          flip(rng() % bytes.size(), static_cast<int>(rng() % 8));
+          break;
+        case 3: {  // truncate one packet: drop a suffix of its bytes
+          const std::size_t keep = 1 + rng() % (p1 - p0 - 1);
+          const std::int64_t from =
+              index_of(static_cast<std::int64_t>(p0 + keep));
+          const std::int64_t last = index_of(static_cast<std::int64_t>(p1 - 1));
+          if (from >= 0 && last >= from) {
+            erase(static_cast<std::size_t>(from),
+                  static_cast<std::size_t>(last) + 1);
+          }
+          break;
+        }
+        case 4: {  // garbage, half of it opening with a false sync
+          std::vector<std::uint8_t> run;
+          if (rng() % 2 == 0) {
+            run = {'E', 'V', 'W', 'P', ew::kWireVersion,
+                   static_cast<std::uint8_t>(rng() % 6)};
+          }
+          const std::size_t len = 1 + rng() % 64;
+          for (std::size_t i = 0; i < len; ++i) {
+            run.push_back(static_cast<std::uint8_t>(rng()));
+          }
+          insert(rng() % (bytes.size() + 1), run);
+          break;
+        }
+        case 5: {  // delete a byte range
+          const std::size_t from = rng() % bytes.size();
+          erase(from, std::min(bytes.size(), from + 1 + rng() % 64));
+          break;
+        }
+        case 6: {  // duplicate a byte range right after itself
+          const std::size_t from = rng() % bytes.size();
+          const std::size_t to = std::min(bytes.size(), from + 1 + rng() % 200);
+          insert(to, std::vector<std::uint8_t>(
+                         bytes.begin() + static_cast<std::ptrdiff_t>(from),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(to)));
+          break;
+        }
+        default:  // truncate the stream
+          if (rng() % 4 == 0) {
+            erase(bytes.size() - rng() % (bytes.size() / 4 + 1), bytes.size());
+          }
+          break;
+      }
+    }
+
+    // Untouched packets: every original byte still present, in order.
+    std::vector<std::size_t> untouched_ends;
+    for (const auto& [p0, p1] : packets) {
+      const std::int64_t at = index_of(static_cast<std::int64_t>(p0));
+      if (at < 0) continue;
+      const auto start = static_cast<std::size_t>(at);
+      bool intact = start + (p1 - p0) <= bytes.size();
+      for (std::size_t k = 0; intact && k < p1 - p0; ++k) {
+        intact = origin[start + k] == static_cast<std::int64_t>(p0 + k);
+      }
+      if (intact) untouched_ends.push_back(start + (p1 - p0));
+    }
+
+    std::size_t pending = 0;
+    const std::vector<FramedRecord> whole =
+        frame_in_chunks(bytes, 0, rng, pending);
+    for (const std::size_t max_chunk : {std::size_t{1}, std::size_t{16},
+                                        std::size_t{512}}) {
+      std::size_t chunked_pending = 0;
+      const std::vector<FramedRecord> chunked =
+          frame_in_chunks(bytes, max_chunk, rng, chunked_pending);
+      ASSERT_TRUE(chunked == whole)
+          << "trial " << trial << ": chunks of <= " << max_chunk
+          << " framed " << chunked.size() << " results, whole feed "
+          << whole.size();
+      EXPECT_EQ(chunked_pending, pending);
+    }
+
+    std::vector<std::size_t> accepted_ends;
+    for (const FramedRecord& rec : whole) {
+      ++framed_outcomes[rec.error];
+      if (rec.error != ew::PacketError::kNone) {
+        const bool framer_error = rec.error == ew::PacketError::kBadMagic ||
+                                  rec.error == ew::PacketError::kBadVersion ||
+                                  rec.error == ew::PacketError::kBadType ||
+                                  rec.error == ew::PacketError::kBadLength ||
+                                  rec.error == ew::PacketError::kBadCrc;
+        EXPECT_TRUE(framer_error) << ew::to_string(rec.error);
+        continue;
+      }
+      // An accepted packet is the stream bytes it ends at, CRC intact.
+      accepted_ends.push_back(rec.end);
+      const std::size_t size = ew::kHeaderBytes + rec.payload.size();
+      ASSERT_GE(rec.end, size);
+      const std::uint8_t* h = bytes.data() + (rec.end - size);
+      EXPECT_EQ(std::memcmp(h, "EVWP", 4), 0);
+      EXPECT_EQ(h[4], rec.header.version);
+      EXPECT_EQ(h[5], static_cast<std::uint8_t>(rec.header.type));
+      EXPECT_EQ(h[6] | h[7] << 8, rec.header.event_count);
+      EXPECT_EQ(le_u32(h + 8), rec.header.session_id);
+      EXPECT_EQ(le_u32(h + 12), rec.header.seq);
+      EXPECT_EQ(le_u32(h + 16), rec.header.t_base);
+      EXPECT_TRUE(std::equal(rec.payload.begin(), rec.payload.end(),
+                             h + ew::kHeaderBytes));
+      EXPECT_EQ(le_u32(h + 20),
+                ew::crc32(h + ew::kHeaderBytes, rec.payload.size(),
+                          ew::crc32(h, ew::kHeaderBytes - 4)));
+      if (rec.header.type == ew::PacketType::kData) {
+        std::vector<ee::Event> decoded;
+        const ew::PacketError err = ew::decode_events(
+            rec.payload, rec.header.event_count, rec.header.t_base, 0,
+            kWidth, kHeight, decoded);
+        ++decode_outcomes[err];
+        EXPECT_TRUE(err == ew::PacketError::kNone ||
+                    err == ew::PacketError::kMalformedEvents)
+            << ew::to_string(err);
+        EXPECT_EQ(decoded.size(), err == ew::PacketError::kNone
+                                      ? rec.header.event_count
+                                      : 0u);
+      }
+    }
+    // Every untouched packet is framed exactly — unless the stream ended
+    // while the framer still held it behind a claimed length.
+    for (const std::size_t end : untouched_ends) {
+      if (end > bytes.size() - pending) continue;
+      EXPECT_NE(std::find(accepted_ends.begin(), accepted_ends.end(), end),
+                accepted_ends.end())
+          << "trial " << trial << ": untouched packet ending at " << end;
+      ++untouched_framed;
+    }
+  }
+
+  for (const ew::PacketError e :
+       {ew::PacketError::kNone, ew::PacketError::kBadMagic,
+        ew::PacketError::kBadVersion, ew::PacketError::kBadType,
+        ew::PacketError::kBadLength, ew::PacketError::kBadCrc}) {
+    EXPECT_GT(framed_outcomes[e], 50) << "framer " << ew::to_string(e);
+  }
+  for (const ew::PacketError e :
+       {ew::PacketError::kNone, ew::PacketError::kMalformedEvents}) {
+    EXPECT_GT(decode_outcomes[e], 50) << "decode " << ew::to_string(e);
+  }
+  EXPECT_GT(untouched_framed, 1000u);
 }
 
 // -------------------------------------------------- timestamp wrapping
